@@ -4,7 +4,8 @@ Graph arguments accept a graph6 string, "@path" for an edge-list file, "-"
 to read one graph6 string per stdin line, or a constructor spec such as
 "F 5 6", "H 5", "K1 3", "C 5", "P 4" (quote it, or write "F,5,6").
 Exit codes: 0 success, 1 a verification found counterexamples, 2 bad usage
-or unparsable input.
+or unparsable input, 3 an internal failure (a broken invariant, an
+arithmetic error or a crashed worker), reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -389,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -91,11 +91,6 @@ def _pair_table(n: int) -> list[tuple[int, int, int, int, int]]:
     return out
 
 
-def _graph_from_pair_mask(n: int, mask: int) -> Graph:
-    pairs = _pair_table(n)
-    return Graph.from_edges(n, [(u, v) for u, v, _, _, bit in pairs if mask & bit])
-
-
 def labeled_odd_cycle_graphs(n: int, connected_only: bool = False):
     """Stream every labeled odd-cycle graph of order n.
 
@@ -168,21 +163,28 @@ def connected_odd_cycle_reps(n: int) -> list[Graph]:
     return reps[n]
 
 
-def enumerate_odd_cycle_graphs(n: int, connected_only: bool = False, mode: str = "labeled"):
-    """Stream odd-cycle graphs of order n.
+def _odd_cycle_classes(n: int):
+    """Stream the odd-cycle graphs of order n, one per isomorphism class.
 
-    mode "labeled" walks every edge subset (n <= 9); mode "structured" grows
-    connected representatives up to isomorphism (n <= 11) and requires
-    connected_only.
+    Such a graph is a multiset of connected classes whose orders sum to n.
+    The multisets are visited as nondecreasing index runs over the connected
+    representatives of orders 1..n; representatives of one order are pairwise
+    non-isomorphic, so every class appears exactly once.
     """
-    if mode == "labeled":
-        yield from labeled_odd_cycle_graphs(n, connected_only)
-    elif mode == "structured":
-        if not connected_only:
-            raise ValueError("structured mode produces connected graphs only")
-        yield from connected_odd_cycle_reps(n)
-    else:
-        raise ValueError(f"unknown enumeration mode {mode!r}")
+    pool = [g for k in range(1, n + 1) for g in connected_odd_cycle_reps(k)]
+
+    def runs(start: int, left: int):
+        if not left:
+            yield []
+            return
+        for i in range(start, len(pool)):
+            if pool[i].n > left:
+                break
+            for rest in runs(i, left - pool[i].n):
+                yield [pool[i], *rest]
+
+    for parts in runs(0, n):
+        yield disjoint_union(parts)
 
 
 # -------------------------------------------------------------------- report
@@ -246,79 +248,27 @@ def _run_shards(worker, n: int, threads: int):
         return list(pool.map(worker, tasks))
 
 
-# ----------------------------------------------- labeled profile census
+# ------------------------------------------------------- profile census
 
 
-def _census_worker(args: tuple[int, int, int]):
-    """Profile census fragment over one shard of the labeled sweep.
+def _class_census(n: int) -> dict[int, dict[tuple[int, ...], list]]:
+    """{m: {profile: [labeled count, smallest class graph6]}} for m >= 1.
 
-    Returns ({m: {profile: [count, smallest edge mask]}}, {m: connected count}).
+    Each class counts its n!/|Aut| labeled copies, so the totals equal a
+    sweep over every labeled edge subset.
     """
-    n, shard, shards = args
-    pairs = _pair_table(n)
-    cap = min(edge_cap(n), len(pairs))
-    full = (1 << n) - 1
-    census: dict[int, dict[tuple[int, ...], list[int]]] = {m: {} for m in range(1, cap + 1)}
-    connected: dict[int, int] = {m: 0 for m in range(cap + 1)}
-    idx = 0
-    for m in range(cap + 1):
-        for combo in combinations(pairs, m):
-            i = idx
-            idx += 1
-            if shards > 1 and i % shards != shard:
-                continue
-            rows = [0] * n
-            for u, v, bu, bv, _ in combo:
-                rows[u] |= bv
-                rows[v] |= bu
-            if not odd_cycle_rows(n, rows):
-                continue
-            if _component_mask(rows, 0, full) == full:
-                connected[m] += 1
-            if m == 0:
-                continue
-            g = Graph(n, tuple(rows))
-            prof = matching_profile(g).counts
-            mask = 0
-            for item in combo:
-                mask |= item[4]
-            entry = census[m].get(prof)
-            if entry is None:
-                census[m][prof] = [1, mask]
-            else:
-                entry[0] += 1
-                if mask < entry[1]:
-                    entry[1] = mask
-    return census, connected
+    census: dict[int, dict[tuple[int, ...], list]] = {m: {} for m in range(1, edge_cap(n) + 1)}
+    for g in _odd_cycle_classes(n):
+        if not g.m:
+            continue
+        g6 = write_graph6(g)
+        entry = census[g.m].setdefault(matching_profile(g).counts, [0, g6])
+        entry[0] += _labeled_copies(g)
+        entry[1] = min(entry[1], g6)
+    return census
 
 
-_CENSUS_CACHE: dict[int, tuple[dict, dict]] = {}
-
-
-def _labeled_census(n: int, threads: int = 1):
-    cached = _CENSUS_CACHE.get(n)
-    if cached is not None:
-        return cached
-    parts = _run_shards(_census_worker, n, threads)
-    census, connected = parts[0]
-    for extra_census, extra_connected in parts[1:]:
-        for m, groups in extra_census.items():
-            target = census[m]
-            for prof, (count, mask) in groups.items():
-                entry = target.get(prof)
-                if entry is None:
-                    target[prof] = [count, mask]
-                else:
-                    entry[0] += count
-                    if mask < entry[1]:
-                        entry[1] = mask
-        for m, count in extra_connected.items():
-            connected[m] += count
-    _CENSUS_CACHE[n] = (census, connected)
-    return census, connected
-
-
-def _profile_champions(n: int, groups: dict[tuple[int, ...], list[int]]):
+def _profile_champions(n: int, groups: dict[tuple[int, ...], list]):
     """Exact max-root winners among profile groups: (root, [profiles])."""
     best_root: AlgebraicRoot | None = None
     best: list[tuple[int, ...]] = []
@@ -365,11 +315,15 @@ def _claimed_maximizers(n: int, m: int) -> tuple[list[Graph], IntPolynomial | No
 
 def verify_classification(n: int, threads: int = 1) -> VerificationReport:
     """Max-root maximizers per edge count over all labeled odd-cycle graphs
-    of order n: winners, their multiplicity, and closed-form values."""
+    of order n: winners, their multiplicity, and closed-form values.
+
+    Runs over isomorphism classes weighted by their labeled copies, so
+    threads is accepted for a uniform signature and ignored.
+    """
     t0 = time.perf_counter()
     if not 2 <= n <= CLASSIFICATION_MAX_N:
         raise ValueError(f"classification sweep supports 2 <= n <= {CLASSIFICATION_MAX_N}")
-    census, _ = _labeled_census(n, threads)
+    census = _class_census(n)
     bad: list[str] = []
     notes: list[str] = []
     checked = 0
@@ -379,8 +333,7 @@ def verify_classification(n: int, threads: int = 1) -> VerificationReport:
         root, champs = _profile_champions(n, groups)
         claimed, value_poly = _claimed_maximizers(n, m)
         claimed_profiles = {matching_profile(g).counts for g in claimed}
-        witness_mask = min(groups[p][1] for p in champs)
-        witness = write_graph6(_graph_from_pair_mask(n, witness_mask))
+        witness = min(groups[p][1] for p in champs)
         if set(champs) != claimed_profiles:
             bad.append(f"n={n} m={m}: unexpected maximizer profile, witness {witness}")
         expected_count = sum(_labeled_copies(g) for g in claimed)
@@ -408,11 +361,12 @@ def verify_classification(n: int, threads: int = 1) -> VerificationReport:
 
 def verify_conjecture(n: int, threads: int = 1) -> VerificationReport:
     """H_n is the unique max-root maximizer over all odd-cycle graphs of
-    order n, isolated-vertex padding included."""
+    order n, isolated-vertex padding included.  Like verify_classification,
+    runs over isomorphism classes and ignores threads."""
     t0 = time.perf_counter()
     if not 2 <= n <= CLASSIFICATION_MAX_N:
         raise ValueError(f"conjecture sweep supports 2 <= n <= {CLASSIFICATION_MAX_N}")
-    census, _ = _labeled_census(n, threads)
+    census = _class_census(n)
     bad: list[str] = []
     checked = 1  # the edgeless graph, whose maximum root is 0
     best_root: AlgebraicRoot | None = None
@@ -817,7 +771,9 @@ def verify_oracles(n: int, threads: int = 1) -> VerificationReport:
     profile_checked = sum(p[1] for p in parts)
     roundtrip_checked = sum(p[2] for p in parts)
 
-    _, connected_counts = _labeled_census(n, threads)
+    connected_counts: dict[int, int] = {}
+    for g in labeled_odd_cycle_graphs(n, connected_only=True):
+        connected_counts[g.m] = connected_counts.get(g.m, 0) + 1
     by_m: dict[int, int] = {}
     for g in connected_odd_cycle_reps(n):
         by_m[g.m] = by_m.get(g.m, 0) + _labeled_copies(g)

@@ -322,12 +322,18 @@ class BlockDecomposition:
     cut_vertices: frozenset[int]
 
 
-def _bcc_edges(n: int, adj) -> tuple[list[list[tuple[int, int]]], set[int]]:
+def _blocks(n: int, adj):
+    """Iterative Tarjan walk: yield (edges, cut) as each block closes.
+
+    edges lists the block's edges as (u, v) pairs.  cut is the vertex the
+    block closes at if the walk has by then shown it to be a cut vertex, else
+    -1; every cut vertex is reported with at least one of its blocks.
+    """
     disc = [0] * n
     low = [0] * n
+    # where the tree edge into each vertex sits on the edge stack
+    entry = [0] * n
     timer = 1
-    blocks: list[list[tuple[int, int]]] = []
-    cuts: set[int] = set()
     estack: list[tuple[int, int]] = []
     for root in range(n):
         if disc[root]:
@@ -343,6 +349,7 @@ def _bcc_edges(n: int, adj) -> tuple[list[list[tuple[int, int]]], set[int]]:
                 stack[-1] = (v, rem ^ b)
                 w = b.bit_length() - 1
                 if not disc[w]:
+                    entry[w] = len(estack)
                     estack.append((v, w))
                     disc[w] = low[w] = timer
                     timer += 1
@@ -361,25 +368,20 @@ def _bcc_edges(n: int, adj) -> tuple[list[list[tuple[int, int]]], set[int]]:
                 if low[v] < low[u]:
                     low[u] = low[v]
                 if low[v] >= disc[u]:
-                    if u != root or root_children >= 2:
-                        cuts.add(u)
-                    block = []
-                    while True:
-                        e = estack.pop()
-                        block.append(e)
-                        if e == (u, v):
-                            break
-                    blocks.append(block)
-    return blocks, cuts
+                    edges = estack[entry[v]:]
+                    del estack[entry[v]:]
+                    yield edges, u if u != root or root_children >= 2 else -1
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Biconnected components; isolated vertices belong to no block."""
-    blocks, cuts = _bcc_edges(g.n, g.adj)
-    norm = tuple(
-        frozenset((min(u, v), max(u, v)) for u, v in blk) for blk in blocks
-    )
-    return BlockDecomposition(norm, frozenset(cuts))
+    blocks = []
+    cuts = set()
+    for edges, cut in _blocks(g.n, g.adj):
+        blocks.append(frozenset((min(u, v), max(u, v)) for u, v in edges))
+        if cut >= 0:
+            cuts.add(cut)
+    return BlockDecomposition(tuple(blocks), frozenset(cuts))
 
 
 def is_odd_cycle_graph(g: Graph) -> bool:
@@ -394,49 +396,16 @@ def is_odd_cycle_graph(g: Graph) -> bool:
 
 def odd_cycle_rows(n: int, adj) -> bool:
     """is_odd_cycle_graph on a raw adjacency row sequence; hot-loop entry."""
-    disc = [0] * n
-    low = [0] * n
-    timer = 1
-    estack: list[tuple[int, int]] = []
-    for root in range(n):
-        if disc[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, adj[root])]
-        while stack:
-            v, rem = stack[-1]
-            if rem:
-                b = rem & -rem
-                stack[-1] = (v, rem ^ b)
-                w = b.bit_length() - 1
-                if not disc[w]:
-                    estack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, adj[w] & ~(1 << v)))
-                elif disc[w] < disc[v]:
-                    estack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            else:
-                stack.pop()
-                if not stack:
-                    continue
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    ecount = 0
-                    vmask = 0
-                    while True:
-                        e = estack.pop()
-                        ecount += 1
-                        vmask |= (1 << e[0]) | (1 << e[1])
-                        if e == (u, v):
-                            break
-                    if ecount >= 2 and (vmask.bit_count() != ecount or ecount % 2 == 0):
-                        return False
+    for edges, _ in _blocks(n, adj):
+        e = len(edges)
+        if e >= 2:
+            if e % 2 == 0:
+                return False
+            vmask = 0
+            for u, v in edges:
+                vmask |= (1 << u) | (1 << v)
+            if vmask.bit_count() != e:
+                return False
     return True
 
 

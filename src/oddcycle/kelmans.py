@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .graphs import Graph, is_connected, is_odd_cycle_graph, iter_bits, long_odd_cycles, write_graph6
 from .matching import matching_polynomial
-from .roots import AlgebraicRoot, count_roots_above, max_matching_root
+from .roots import count_roots_above, max_matching_root
 from .polynomials import IntPolynomial
 
 
@@ -263,8 +263,3 @@ def dominance(g1: Graph, g2: Graph) -> DominanceVerdict:
 
     touches = t1.sign_of(d) == 0 or count_roots_above(d, t1) > 0
     return DominanceVerdict.WEAKLY_DOMINATES if touches else DominanceVerdict.STRICTLY_DOMINATES
-
-
-def matching_root_for(g: Graph, eps: Fraction = _T_EPS) -> AlgebraicRoot:
-    """Largest matching root of g, exposed for callers auditing dominance."""
-    return max_matching_root(g, eps=eps)

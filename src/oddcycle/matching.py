@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .graphs import Graph, disjoint_union, iter_bits
+from .graphs import Graph, iter_bits
 from .polynomials import IntPolynomial
 
 
@@ -140,27 +140,3 @@ def matching_profile_bruteforce(g: Graph) -> MatchingProfile:
         counts[k] = total
     return MatchingProfile(tuple(counts))
 
-
-def check_deletion_identity(g: Graph, edge: tuple[int, int]) -> bool:
-    """Verify m(G,x) = m(G-e,x) - m(G-u-v,x) for the given edge."""
-    u, v = edge
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    whole = matching_polynomial(g)
-    deleted = matching_polynomial(g.without_edge(u, v))
-    rest = [w for w in range(g.n) if w not in (u, v)]
-    if rest:
-        sub, _ = g.induced(rest)
-        shrunk = matching_polynomial(sub)
-    else:
-        shrunk = IntPolynomial.one()
-    return whole == deleted - shrunk
-
-
-def check_union_identity(parts) -> bool:
-    """Verify the matching polynomial of a disjoint union is the product."""
-    parts = list(parts)
-    product = IntPolynomial.one()
-    for p in parts:
-        product = product * matching_polynomial(p)
-    return matching_polynomial(disjoint_union(parts)) == product

@@ -4,13 +4,17 @@ Everything here deliberately uses different machinery from the library:
 direct bit-string assembly for graph6, simple-path enumeration for even
 cycles, Laplace expansion for characteristic polynomials, frozenset
 bookkeeping for matching counts, and numpy subset tests for the bulk
-matching census.  Slow is fine; these exist to be obviously right.
+matching census.  Slow is fine; these exist to be obviously right.  The two
+identity checks at the end are the exception: they hold the library's own
+matching polynomials to the deletion and disjoint-union identities.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+
+from oddcycle import IntPolynomial, disjoint_union, matching_polynomial
 
 
 def graph6_reference(n: int, edges) -> str:
@@ -189,3 +193,28 @@ def bulk_matching_profiles(n: int):
                 em = np.uint32(sum(1 << e for e in combo))
                 counts[k] += (masks & em) == em
     return pairs, counts
+
+
+def check_deletion_identity(g, edge: tuple[int, int]) -> bool:
+    """Verify m(G,x) = m(G-e,x) - m(G-u-v,x) for the given edge."""
+    u, v = edge
+    if not g.has_edge(u, v):
+        raise ValueError(f"({u},{v}) is not an edge")
+    whole = matching_polynomial(g)
+    deleted = matching_polynomial(g.without_edge(u, v))
+    rest = [w for w in range(g.n) if w not in (u, v)]
+    if rest:
+        sub, _ = g.induced(rest)
+        shrunk = matching_polynomial(sub)
+    else:
+        shrunk = IntPolynomial.one()
+    return whole == deleted - shrunk
+
+
+def check_union_identity(parts) -> bool:
+    """Verify the matching polynomial of a disjoint union is the product."""
+    parts = list(parts)
+    product = IntPolynomial.one()
+    for p in parts:
+        product = product * matching_polynomial(p)
+    return matching_polynomial(disjoint_union(parts)) == product

@@ -1,10 +1,10 @@
 """End-to-end acceptance checks, one printed verdict line per criterion.
 
 Run ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines as
-they complete.  The slow items are the order-8 maximizer census and the
-full order-7 oracle sweep; on a single core the whole file takes roughly
-a quarter of an hour.  Stated time budgets assume four cores, so they are
-scaled up by 4 / min(4, cpu_count) before being enforced.
+they complete.  The slow item is the full order-7 oracle sweep; the
+order-8 maximizer census runs over isomorphism classes and takes seconds.
+Stated time budgets assume four cores, so they are scaled up by
+4 / min(4, cpu_count) before being enforced.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from oddcycle import cli
 from oddcycle.cli import main, parse_graph_argument, run_verification
-from oddcycle import cycle_graph, make_F, path_graph, star_graph, write_graph6
+from oddcycle import ReductionInvariantError, cycle_graph, make_F, path_graph, star_graph
 
 
 def run(capsys, *argv):
@@ -223,12 +224,31 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_internal_failure_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ReductionInvariantError("step 2 left the family")
+
+    monkeypatch.setattr(cli, "run_verification", broken)
+    code, out, err = run(capsys, "verify", "classification", "--max-n", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ReductionInvariantError: step 2 left the family\n"
+
+
 def test_run_verification_rejects_unknown_suite():
     with pytest.raises(ValueError):
         run_verification("nope", 4)
 
 
 # ------------------------------------------------------------------ output
+
+
+def test_default_format_is_table(capsys):
+    code, out, _ = run(capsys, "verify", "monotonicity", "--max-n", "4")
+    assert code == 0
+    assert out.startswith("claim monotonicity: PASS\n")
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
 
 
 def test_out_writes_file(capsys, tmp_path):

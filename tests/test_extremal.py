@@ -9,7 +9,6 @@ from oddcycle import (
     connected_odd_cycle_reps,
     cycle_graph,
     edge_cap,
-    enumerate_odd_cycle_graphs,
     is_connected,
     is_isomorphic,
     is_odd_cycle_graph,
@@ -29,6 +28,7 @@ from oddcycle import (
     verify_reduction,
 )
 
+from oddcycle.extremal import _class_census, _odd_cycle_classes
 from oracles import has_even_cycle
 
 
@@ -127,13 +127,28 @@ def test_structured_classes_cover_labeled_ones():
     assert any(is_isomorphic(g, make_H(n)) for g in reps)
 
 
-def test_enumerate_dispatch():
-    assert len(list(enumerate_odd_cycle_graphs(4, connected_only=True, mode="structured"))) == 3
-    assert len(list(enumerate_odd_cycle_graphs(3, mode="labeled"))) == 8
-    with pytest.raises(ValueError):
-        list(enumerate_odd_cycle_graphs(4, connected_only=False, mode="structured"))
-    with pytest.raises(ValueError):
-        list(enumerate_odd_cycle_graphs(4, mode="spectral"))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_class_census_matches_labeled_sweep(n):
+    classes = list(_odd_cycle_classes(n))
+    for g in classes:
+        assert g.n == n
+        assert is_odd_cycle_graph(g)
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            assert not is_isomorphic(classes[i], classes[j])
+
+    # the brute-force labeled enumeration is the independent oracle
+    want: dict[int, dict[tuple[int, ...], int]] = {}
+    for g in labeled_odd_cycle_graphs(n):
+        if g.m:
+            by_profile = want.setdefault(g.m, {})
+            prof = matching_profile(g).counts
+            by_profile[prof] = by_profile.get(prof, 0) + 1
+    got = {
+        m: {prof: entry[0] for prof, entry in groups.items()}
+        for m, groups in _class_census(n).items()
+    }
+    assert got == want
 
 
 # ------------------------------------------------------------------ reports

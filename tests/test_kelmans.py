@@ -1,11 +1,9 @@
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oddcycle import (
-    EQ,
     LT,
     DominanceVerdict,
     Graph,
@@ -23,7 +21,6 @@ from oddcycle import (
     kelmans_transform,
     make_F,
     matching_polynomial,
-    matching_root_for,
     max_matching_root,
     parse_graph6,
     path_graph,
@@ -260,8 +257,3 @@ def test_dominance_is_transitive_along_shift_chains(g, a, b):
     assert second is not INCOMPARABLE
     assert dominance(g2, g) is not INCOMPARABLE
 
-
-def test_matching_root_for():
-    root = matching_root_for(complete_graph(3))
-    assert root.width <= Fraction(1, 2**16)
-    assert compare_roots(root, max_matching_root(complete_graph(3))) == EQ
