@@ -42,7 +42,7 @@ from .graphs import (
 from .kelmans import dominance, reduce_to_F
 from .matching import matching_polynomial, matching_profile
 from .roots import NoRealRootError, max_matching_root, max_real_root
-from .skew import Orientation, all_orientations, skew_char_poly, skew_spectral_radius, verify_identity as orientation_identity
+from .skew import Orientation, _alternating_form, _identity_target, all_orientations, skew_char_poly
 
 _SCHEMA = 1
 
@@ -166,18 +166,19 @@ def _cmd_skew(args) -> int:
                 raise UsageError(f"orientation mask must be in 0..{(1 << g.m) - 1}")
             orientations = [Orientation(g, args.mask)]
         entries = []
+        target = _identity_target(g)
         radius_by_phi: dict[tuple[int, ...], str] = {}
         for o in orientations:
             phi = skew_char_poly(o)
             rho = radius_by_phi.get(phi.coeffs)
             if rho is None:
-                rho = skew_spectral_radius(o).decimal_str(args.digits)
+                rho = max_real_root(_alternating_form(phi, g.n)).decimal_str(args.digits)
                 radius_by_phi[phi.coeffs] = rho
             entries.append(
                 {
                     "mask": o.mask_hex(),
                     "char_poly": phi.pretty(),
-                    "identity": orientation_identity(o),
+                    "identity": phi == target,
                     "radius": rho,
                 }
             )

@@ -38,7 +38,7 @@ from .kelmans import DominanceVerdict, KelmansPhase, dominance, kelmans_transfor
 from .matching import matching_polynomial, matching_profile, matching_profile_bruteforce, polynomial_from_profile
 from .polynomials import IntPolynomial
 from .roots import EQ, GT, AlgebraicRoot, compare_roots, max_real_root
-from .skew import Orientation, _alternating_form, char_poly_values, skew_char_poly
+from .skew import Orientation, SwitchingClasses, _alternating_form, _identity_target, skew_char_poly
 
 LABELED_MAX_N = 9
 STRUCTURED_MAX_N = 11
@@ -91,6 +91,19 @@ def _pair_table(n: int) -> list[tuple[int, int, int, int, int]]:
     return out
 
 
+def _labeled_rows(n: int, shard: int, shards: int):
+    """Yield (edge mask, adjacency rows) of every labeled graph of order n
+    whose mask is congruent to shard modulo shards."""
+    pairs = _pair_table(n)
+    for mask in range(shard, 1 << len(pairs), shards):
+        rows = [0] * n
+        for u, v, bu, bv, bit in pairs:
+            if mask & bit:
+                rows[u] |= bv
+                rows[v] |= bu
+        yield mask, rows
+
+
 def labeled_odd_cycle_graphs(n: int, connected_only: bool = False):
     """Stream every labeled odd-cycle graph of order n.
 
@@ -116,7 +129,12 @@ def labeled_odd_cycle_graphs(n: int, connected_only: bool = False):
 
 
 def connected_odd_cycle_reps(n: int) -> list[Graph]:
-    """Connected odd-cycle graphs of order n, one per isomorphism class.
+    """Connected odd-cycle graphs of order n, one per isomorphism class."""
+    return _connected_reps_by_order(n)[n]
+
+
+def _connected_reps_by_order(n: int) -> list[list[Graph]]:
+    """Connected odd-cycle graphs of every order k <= n, one list per k.
 
     Grown by attaching a new leaf block, either a bridge or an odd cycle, at
     every vertex of every smaller representative.  Any connected graph whose
@@ -160,7 +178,7 @@ def connected_odd_cycle_reps(n: int) -> list[Graph]:
             bucket.append(cand)
             kept.append(cand)
         reps[k] = kept
-    return reps[n]
+    return reps
 
 
 def _odd_cycle_classes(n: int):
@@ -171,7 +189,7 @@ def _odd_cycle_classes(n: int):
     representatives of orders 1..n; representatives of one order are pairwise
     non-isomorphic, so every class appears exactly once.
     """
-    pool = [g for k in range(1, n + 1) for g in connected_odd_cycle_reps(k)]
+    pool = [g for reps in _connected_reps_by_order(n) for g in reps]
 
     def runs(start: int, left: int):
         if not left:
@@ -524,7 +542,6 @@ def verify_reduction(n: int, threads: int = 1) -> VerificationReport:
 def _dominance_worker(args: tuple[int, int, int]):
     n, shard, shards = args
     full = (1 << n) - 1
-    pairs = _pair_table(n)
     poly_cache: dict[tuple[int, ...], IntPolynomial] = {}
 
     def poly_of(g: Graph) -> IntPolynomial:
@@ -537,14 +554,7 @@ def _dominance_worker(args: tuple[int, int, int]):
     verdict_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], DominanceVerdict] = {}
     bad: list[str] = []
     checked = 0
-    for mask in range(1 << len(pairs)):
-        if shards > 1 and mask % shards != shard:
-            continue
-        rows = [0] * n
-        for u, v, bu, bv, bit in pairs:
-            if mask & bit:
-                rows[u] |= bv
-                rows[v] |= bu
+    for _, rows in _labeled_rows(n, shard, shards):
         if _component_mask(rows, 0, full) != full:
             continue
         g = Graph(n, tuple(rows))
@@ -595,47 +605,57 @@ def verify_dominance(n: int, threads: int = 1) -> VerificationReport:
 # --------------------------------------------------------- skew identity
 
 
+def _orientation_report(claim: str, universe: str, worker, n: int, threads: int) -> VerificationReport:
+    """Run an orientation sweep; its workers return (counterexamples,
+    orientations covered, graphs, switching classes evaluated)."""
+    t0 = time.perf_counter()
+    parts = _run_shards(worker, n, threads)
+    orientations, graphs, evaluated = (sum(p[i] for p in parts) for i in (1, 2, 3))
+    return VerificationReport(
+        claim=claim,
+        universe=universe,
+        checked=orientations,
+        counterexamples=tuple(sorted(c for p in parts for c in p[0])),
+        witnesses=(
+            f"n={n}: {graphs} graphs, {orientations} orientations covered, "
+            f"{evaluated} switching classes evaluated",
+        ),
+        elapsed_seconds=time.perf_counter() - t0,
+    )
+
+
 def _identity_worker(args: tuple[int, int, int]):
     n, shard, shards = args
-    pairs = _pair_table(n)
     bad: list[str] = []
     orientations = 0
+    evaluated = 0
     graphs = 0
-    for mask in range(1 << len(pairs)):
-        if shards > 1 and mask % shards != shard:
-            continue
-        rows = [0] * n
-        for u, v, bu, bv, bit in pairs:
-            if mask & bit:
-                rows[u] |= bv
-                rows[v] |= bu
+    for _, rows in _labeled_rows(n, shard, shards):
         g = Graph(n, tuple(rows))
         graphs += 1
-        counts = matching_profile(g).counts
-        target = polynomial_from_profile(counts, n, signed=False)
-        target_values = tuple(target.evaluate(t) for t in range(n + 1))
+        target = _identity_target(g)
         odd = odd_cycle_rows(n, rows)
-        if odd:
-            for omask in range(1 << g.m):
-                orientations += 1
-                if char_poly_values(Orientation(g, omask)) != target_values:
-                    bad.append(
-                        f"{write_graph6(g)} orientation {omask:#x}: identity fails"
-                    )
-                    break
-        else:
-            violated = False
-            for omask in range(1 << g.m):
-                orientations += 1
-                if char_poly_values(Orientation(g, omask)) != target_values:
-                    violated = True
-                    break
-            if not violated:
-                bad.append(
-                    f"{write_graph6(g)}: every orientation satisfies the identity "
-                    "despite an even cycle"
-                )
-    return bad, orientations, graphs
+        classes = SwitchingClasses(g)
+        # det(xI - S) is constant on a switching class; masks are still walked
+        # in ascending order so the first violation is found where it was
+        holds: dict[int, bool] = {}
+        for omask in range(1 << g.m):
+            orientations += 1
+            rep = classes.representative(omask)
+            ok = holds.get(rep)
+            if ok is None:
+                ok = holds[rep] = skew_char_poly(Orientation(g, rep)) == target
+            if not ok:
+                break
+        evaluated += len(holds)
+        if odd and not ok:
+            bad.append(f"{write_graph6(g)} orientation {omask:#x}: identity fails")
+        elif not odd and ok:
+            bad.append(
+                f"{write_graph6(g)}: every orientation satisfies the identity "
+                "despite an even cycle"
+            )
+    return bad, orientations, graphs, evaluated
 
 
 def verify_identity(n: int, threads: int = 1) -> VerificationReport:
@@ -643,83 +663,54 @@ def verify_identity(n: int, threads: int = 1) -> VerificationReport:
     the unsigned matching-count polynomial: holds for every orientation of
     every odd-cycle graph of order n, and fails for at least one orientation
     of every other graph of order n."""
-    t0 = time.perf_counter()
     if not 1 <= n <= 6:
         raise ValueError("identity sweep supports 1 <= n <= 6")
-    parts = _run_shards(_identity_worker, n, threads)
-    bad = sorted(c for p in parts for c in p[0])
-    orientations = sum(p[1] for p in parts)
-    graphs = sum(p[2] for p in parts)
-    return VerificationReport(
-        claim="identity",
-        universe=f"all labeled graphs of order {n}, both identity directions",
-        checked=orientations,
-        counterexamples=tuple(bad),
-        witnesses=(f"n={n}: {graphs} graphs, {orientations} orientations evaluated",),
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    universe = f"all labeled graphs of order {n}, both identity directions"
+    return _orientation_report("identity", universe, _identity_worker, n, threads)
 
 
 def _radius_worker(args: tuple[int, int, int]):
     n, shard, shards = args
-    pairs = _pair_table(n)
     agree_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
     bad: list[str] = []
     orientations = 0
+    evaluated = 0
     graphs = 0
-    for mask in range(1 << len(pairs)):
-        if shards > 1 and mask % shards != shard:
-            continue
-        rows = [0] * n
-        for u, v, bu, bv, bit in pairs:
-            if mask & bit:
-                rows[u] |= bv
-                rows[v] |= bu
+    for _, rows in _labeled_rows(n, shard, shards):
         if not odd_cycle_rows(n, rows):
             continue
         g = Graph(n, tuple(rows))
         graphs += 1
         mpoly = matching_polynomial(g)
         match_root: AlgebraicRoot | None = None
-        for omask in range(1 << g.m):
-            orientations += 1
-            o = Orientation(g, omask)
-            # n + 1 point values pin down the degree-n polynomial exactly,
-            # so they can stand in for its coefficients as a cache key
-            key = (char_poly_values(o), mpoly.coeffs)
+        # one orientation per switching class covers all 2^m of them
+        orientations += 1 << g.m
+        for omask in SwitchingClasses(g).representatives():
+            evaluated += 1
+            phi = skew_char_poly(Orientation(g, omask))
+            key = (phi.coeffs, mpoly.coeffs)
             agree = agree_cache.get(key)
             if agree is None:
-                rho = max_real_root(_alternating_form(skew_char_poly(o), n), eps=_SWEEP_EPS)
+                rho = max_real_root(_alternating_form(phi, n), eps=_SWEEP_EPS)
                 if match_root is None:
                     match_root = max_real_root(mpoly, eps=_SWEEP_EPS)
                 agree = compare_roots(rho, match_root) == EQ
                 agree_cache[key] = agree
             if not agree:
                 bad.append(
-                    f"{write_graph6(g)} orientation {omask:#x}: spectral radius "
-                    "differs from the matching root"
+                    f"{write_graph6(g)} orientation {omask:#x} and its switching class: "
+                    "spectral radius differs from the matching root"
                 )
-    return bad, orientations, graphs
+    return bad, orientations, graphs, evaluated
 
 
 def verify_radius(n: int, threads: int = 1) -> VerificationReport:
     """Skew spectral radius equals the maximum matching root for every
     orientation of every odd-cycle graph of order n, by exact comparison."""
-    t0 = time.perf_counter()
     if not 1 <= n <= 6:
         raise ValueError("radius sweep supports 1 <= n <= 6")
-    parts = _run_shards(_radius_worker, n, threads)
-    bad = sorted(c for p in parts for c in p[0])
-    orientations = sum(p[1] for p in parts)
-    graphs = sum(p[2] for p in parts)
-    return VerificationReport(
-        claim="radius",
-        universe=f"all labeled odd-cycle graphs of order {n}, all orientations",
-        checked=orientations,
-        counterexamples=tuple(bad),
-        witnesses=(f"n={n}: {graphs} graphs, {orientations} orientations compared",),
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    universe = f"all labeled odd-cycle graphs of order {n}, all orientations"
+    return _orientation_report("radius", universe, _radius_worker, n, threads)
 
 
 # --------------------------------------------------------------- oracles
@@ -731,19 +722,11 @@ _ORACLE_STRIDE_N7 = 64
 
 def _oracle_worker(args: tuple[int, int, int]):
     n, shard, shards = args
-    pairs = _pair_table(n)
     stride = 1 if n <= _ORACLE_FULL_MAX_N else _ORACLE_STRIDE_N7
     bad: list[str] = []
     profile_checked = 0
     roundtrip_checked = 0
-    for mask in range(1 << len(pairs)):
-        if shards > 1 and mask % shards != shard:
-            continue
-        rows = [0] * n
-        for u, v, bu, bv, bit in pairs:
-            if mask & bit:
-                rows[u] |= bv
-                rows[v] |= bu
+    for mask, rows in _labeled_rows(n, shard, shards):
         g = Graph(n, tuple(rows))
         roundtrip_checked += 1
         if parse_graph6(write_graph6(g)) != g:

@@ -17,6 +17,7 @@ multiplication, which keeps the exhaustive sweeps fast while staying exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -35,6 +36,7 @@ class MatchingProfile:
         return len(self.counts) - 1
 
 
+@cache
 def _field_width(n: int) -> int:
     bound = 1
     for k in range(n // 2 + 1):

@@ -2,8 +2,9 @@
 
 An orientation assigns a direction to every edge; the skew-adjacency matrix
 S has S[u][v] = +1 for an arc u -> v, -1 the other way, 0 otherwise.  The
-characteristic polynomial det(xI - S) is computed exactly by evaluating a
-fraction-free integer determinant at n+1 integer points and interpolating.
+characteristic polynomial det(xI - S) is computed exactly over the integers
+by Berkowitz's division-free recurrence.  It is constant on each switching
+class of orientations, so sweeps evaluate one representative per class.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, GraphTooLargeError
+from .graphs import Graph, GraphTooLargeError, iter_bits
 from .matching import matching_profile, polynomial_from_profile
 from .polynomials import IntPolynomial
 from .roots import EPS_DEFAULT, GT, AlgebraicRoot, compare_roots, max_real_root
@@ -54,6 +55,59 @@ class Orientation:
         return s
 
 
+class SwitchingClasses:
+    """The switching classes of the orientations of one graph.
+
+    Switching a vertex reverses every arc at it, which negates its row and
+    column of S.  That is a similarity D S D, so det(xI - S) is the same on
+    a whole class.  Every class has exactly one mask whose bits on the arcs
+    of a fixed BFS spanning forest are all 0, so a graph with c components
+    has 2^(m - n + c) classes, one per setting of the non-tree bits.
+    """
+
+    def __init__(self, g: Graph):
+        cut = [0] * g.n  # edges at v; later, the edges leaving v's BFS subtree
+        for k, (u, v) in enumerate(g.edge_list()):
+            cut[u] |= 1 << k
+            cut[v] |= 1 << k
+        steps = []  # (parent, child, tree-edge bit) in BFS order
+        seen = 0
+        for root in range(g.n):
+            if seen >> root & 1:
+                continue
+            seen |= 1 << root
+            queue = [root]
+            for u in queue:
+                for v in iter_bits(g.adj[u] & ~seen):
+                    seen |= 1 << v
+                    steps.append((u, v, cut[u] & cut[v]))
+                    queue.append(v)
+        for parent, child, _ in reversed(steps):
+            cut[parent] ^= cut[child]
+        self.free = (1 << g.m) - 1 - sum(bit for _, _, bit in steps)
+        # switching the subtree below a tree edge clears that edge's bit and
+        # flips these non-tree bits
+        self._flips = tuple((bit, cut[child] & self.free) for _, child, bit in steps)
+
+    def representatives(self):
+        """Yield one mask per class, ascending: every subset of the free bits."""
+        free = self.free
+        mask = 0
+        while True:
+            yield mask
+            if mask == free:
+                return
+            mask = (mask - free) & free
+
+    def representative(self, mask: int) -> int:
+        """The representative of the class that contains mask."""
+        rep = mask & self.free
+        for bit, flips in self._flips:
+            if mask & bit:
+                rep ^= flips
+        return rep
+
+
 def all_orientations(g: Graph):
     """Yield every orientation of g exactly once (ascending bitmask)."""
     m = g.m
@@ -63,94 +117,49 @@ def all_orientations(g: Graph):
         yield Orientation(g, mask)
 
 
-def _det_bareiss(mat: list[list[int]]) -> int:
-    """Fraction-free determinant; consumes the matrix."""
-    n = len(mat)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            for i in range(k + 1, n):
-                if mat[i][k]:
-                    mat[k], mat[i] = mat[i], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pkk = mat[k][k]
-        row_k = mat[k]
-        for i in range(k + 1, n):
-            row_i = mat[i]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pkk - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pkk
-    return sign * mat[n - 1][n - 1]
+def skew_char_poly(o: Orientation) -> IntPolynomial:
+    """Exact characteristic polynomial det(xI - S) of the skew matrix.
 
-
-def char_poly_values(o: Orientation) -> tuple[int, ...]:
-    """det(tI - S) at the integer points t = 0..n.
-
-    Two polynomials of degree at most n that agree on n + 1 points are equal,
-    so this tuple is a complete fingerprint of the characteristic polynomial
-    and a cheap way to test candidate identities without interpolating.
+    Berkowitz's division-free recurrence: bordering the leading k x k block
+    M by a column c, a row r and a corner a multiplies det(xI - M) by the
+    lower-triangular Toeplitz matrix with first column
+    (1, -a, -r c, -r M c, ..., -r M^(k-1) c).  Only integer products and
+    sums occur.
     """
     n = o.graph.n
     if n > CHAR_POLY_MAX_N:
         raise GraphTooLargeError(f"skew characteristic polynomial limited to n <= {CHAR_POLY_MAX_N}")
     s = o.skew_matrix()
-    values = []
-    for t in range(n + 1):
-        mat = [row[:] for row in s]
-        for i in range(n):
-            for j in range(n):
-                mat[i][j] = -mat[i][j]
-            mat[i][i] += t
-        values.append(_det_bareiss(mat))
-    return tuple(values)
+    poly = [1]  # det(xI - M), highest degree first
+    for k in range(n):
+        toeplitz = [1, -s[k][k]]
+        vec = [s[i][k] for i in range(k)]
+        # zip stops after len(vec) = k entries, so rows read only the block M
+        for step in range(k):
+            toeplitz.append(-sum(a * b for a, b in zip(s[k], vec)))
+            if step + 1 < k:
+                vec = [sum(a * b for a, b in zip(s[i], vec)) for i in range(k)]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return IntPolynomial.from_coeffs(poly[::-1])
 
 
-def skew_char_poly(o: Orientation) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - S) of the skew matrix."""
-    n = o.graph.n
-    values = char_poly_values(o)
-    # Newton forward differences at nodes 0..n; the divided differences of an
-    # integer polynomial at consecutive integers are integers
-    diffs = list(values)
-    coeffs_binom = []
-    for k in range(n + 1):
-        coeffs_binom.append(diffs[0])
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-    acc = [Fraction(0)] * (n + 1)
-    basis = [Fraction(1)]
-    for k in range(n + 1):
-        for i, b in enumerate(basis):
-            acc[i] += coeffs_binom[k] * b
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for i, b in enumerate(basis):
-            nxt[i + 1] += b
-            nxt[i] -= k * b
-        basis = [c / (k + 1) for c in nxt]
-    out = []
-    for c in acc:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolation produced a non-integer coefficient")
-        out.append(c.numerator)
-    return IntPolynomial.from_coeffs(out)
+def _identity_target(g: Graph) -> IntPolynomial:
+    """The unsigned matching-count polynomial sum_k m_k(G) x^(n-2k).
+
+    This is the coefficientwise real form of (-i)^n m(G, ix): the x^(n-2k)
+    term of m(G, ix) carries the factor (-1)^k i^(n-2k), and (-i)^n * (-1)^k *
+    i^(n-2k) = (i^2)^n * (i^2)^(-k) * (-1)^k = (-1)^(2n) = 1, so every
+    coefficient lands on +m_k.
+    """
+    return polynomial_from_profile(matching_profile(g).counts, g.n, signed=False)
 
 
 def verify_identity(o: Orientation) -> bool:
-    """Check det(xI - S) against the unsigned matching-count polynomial.
-
-    The target is sum_k m_k(G) x^(n-2k).  This is the coefficientwise real
-    form of (-i)^n m(G, ix): the x^(n-2k) term of m(G, ix) carries the factor
-    (-1)^k i^(n-2k), and (-i)^n * (-1)^k * i^(n-2k) = (i^2)^n * (i^2)^(-k) *
-    (-1)^k = (-1)^(2n) = 1, so every coefficient lands on +m_k.
-    """
-    g = o.graph
-    target = polynomial_from_profile(matching_profile(g).counts, g.n, signed=False)
-    return skew_char_poly(o) == target
+    """Check det(xI - S) against the unsigned matching-count polynomial."""
+    return skew_char_poly(o) == _identity_target(o.graph)
 
 
 def _alternating_form(phi: IntPolynomial, n: int) -> IntPolynomial:
@@ -180,13 +189,17 @@ def skew_spectral_radius(o: Orientation, eps: Fraction | float = EPS_DEFAULT) ->
 
 
 def max_skew_spectral_radius(g: Graph, eps: Fraction | float = EPS_DEFAULT) -> AlgebraicRoot:
-    """Maximum of skew_spectral_radius over all orientations of g."""
+    """Maximum of skew_spectral_radius over all orientations of g.
+
+    One orientation per switching class is evaluated; the others share its
+    characteristic polynomial.
+    """
     if g.m > RADIUS_SWEEP_MAX_M:
         raise GraphTooLargeError(f"radius sweep limited to m <= {RADIUS_SWEEP_MAX_M}")
     best: AlgebraicRoot | None = None
     seen: set[tuple[int, ...]] = set()
-    for o in all_orientations(g):
-        phi = skew_char_poly(o)
+    for mask in SwitchingClasses(g).representatives():
+        phi = skew_char_poly(Orientation(g, mask))
         if phi.coeffs in seen:
             continue
         seen.add(phi.coeffs)

@@ -117,7 +117,7 @@ def test_criterion_2_identity_sweep():
         "coefficient identity exhaustive",
         problems,
         f"both directions on all labeled graphs n<=6, "
-        f"{merged.checked} orientation evaluations, zero exceptions, {elapsed:.1f}s",
+        f"{merged.checked} orientations covered, zero exceptions, {elapsed:.1f}s",
     )
 
 

@@ -236,6 +236,19 @@ def test_verify_radius_small():
     assert rep.claim == "radius"
 
 
+@pytest.mark.parametrize(
+    "max_n,identity,radius", [(3, 31, 31), (4, 466, 456), (5, 11402, 10881)]
+)
+def test_orientation_sweep_counts(max_n, identity, radius):
+    # every orientation is covered although one per switching class is evaluated
+    idents = [verify_identity_sweep(n) for n in range(1, max_n + 1)]
+    radii = [verify_radius(n) for n in range(1, max_n + 1)]
+    assert all(r.passed for r in idents + radii)
+    assert sum(r.checked for r in idents) == identity
+    assert sum(r.checked for r in radii) == radius
+    assert "switching classes evaluated" in radii[-1].witnesses[0]
+
+
 def test_verify_oracles_small():
     rep = verify_oracles(4)
     assert rep.passed

@@ -8,10 +8,11 @@ from oddcycle import (
     Graph,
     GraphTooLargeError,
     Orientation,
+    SwitchingClasses,
     all_orientations,
-    char_poly_values,
     compare_roots,
     complete_graph,
+    connected_components,
     cycle_graph,
     is_odd_cycle_graph,
     matching_profile,
@@ -69,12 +70,6 @@ def test_char_poly_matches_laplace_expansion(o):
 
 
 @given(oriented_graphs())
-def test_char_poly_values_are_point_evaluations(o):
-    phi = skew_char_poly(o)
-    assert char_poly_values(o) == tuple(phi.evaluate(t) for t in range(o.graph.n + 1))
-
-
-@given(oriented_graphs())
 def test_char_poly_parity_and_shape(o):
     phi = skew_char_poly(o)
     n = o.graph.n
@@ -86,6 +81,44 @@ def test_char_poly_parity_and_shape(o):
         else:
             # even skew minors are squares, so all surviving terms are positive
             assert c >= 0
+
+
+def _switched(o: Orientation, vertices: int) -> Orientation:
+    """Reverse every arc with exactly one endpoint in the vertex bitmask."""
+    mask = o.mask
+    for k, (u, v) in enumerate(o.graph.edge_list()):
+        if (vertices >> u ^ vertices >> v) & 1:
+            mask ^= 1 << k
+    return Orientation(o.graph, mask)
+
+
+@given(oriented_graphs(max_n=6), st.integers(0, (1 << 6) - 1))
+def test_switching_keeps_class_and_char_poly(o, vertices):
+    vertices &= (1 << o.graph.n) - 1
+    switched = _switched(o, vertices)
+    classes = SwitchingClasses(o.graph)
+    assert classes.representative(switched.mask) == classes.representative(o.mask)
+    want = charpoly_reference(o.skew_matrix())[: o.graph.n + 1]
+    assert skew_char_poly(switched).coeffs == want
+
+
+def test_switching_representatives_exhaustive():
+    for n in range(1, 6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for emask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (emask >> i) & 1])
+            classes = SwitchingClasses(g)
+            reps = list(classes.representatives())
+            c = len(connected_components(g))
+            assert len(set(reps)) == len(reps) == 1 << (g.m - n + c)
+            # every mask maps to a representative reachable from it by switching
+            base = Orientation(g, 0)
+            cuts = {_switched(base, x).mask for x in range(1 << n)}
+            assert {classes.representative(r) for r in reps} == set(reps)
+            for mask in range(1 << g.m):
+                r = classes.representative(mask)
+                assert r in reps
+                assert mask ^ r in cuts
 
 
 def test_identity_on_triangle():
@@ -152,6 +185,6 @@ def test_size_guards():
     with pytest.raises(GraphTooLargeError):
         list(all_orientations(big))
     with pytest.raises(GraphTooLargeError):
-        char_poly_values(Orientation(Graph.empty(25), 0))
+        skew_char_poly(Orientation(Graph.empty(25), 0))
     with pytest.raises(GraphTooLargeError):
         max_skew_spectral_radius(complete_graph(7))
