@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,14 +183,18 @@ def _connected_reps_by_order(n: int) -> list[list[Graph]]:
 
 
 def _odd_cycle_classes(n: int):
-    """Stream the odd-cycle graphs of order n, one per isomorphism class.
+    """Stream (graph, |Aut|) for the odd-cycle graphs of order n, one per
+    isomorphism class.
 
     Such a graph is a multiset of connected classes whose orders sum to n.
     The multisets are visited as nondecreasing index runs over the connected
     representatives of orders 1..n; representatives of one order are pairwise
-    non-isomorphic, so every class appears exactly once.
+    non-isomorphic, so every class appears exactly once.  An automorphism
+    permutes the k_C copies of each connected class C and maps each copy
+    onto its image, so |Aut| = prod_C |Aut(C)|^k_C * k_C!.
     """
     pool = [g for reps in _connected_reps_by_order(n) for g in reps]
+    auts = [automorphism_count(g) for g in pool]
 
     def runs(start: int, left: int):
         if not left:
@@ -199,10 +204,13 @@ def _odd_cycle_classes(n: int):
             if pool[i].n > left:
                 break
             for rest in runs(i, left - pool[i].n):
-                yield [pool[i], *rest]
+                yield [i, *rest]
 
     for parts in runs(0, n):
-        yield disjoint_union(parts)
+        aut = 1
+        for i, k in Counter(parts).items():
+            aut *= auts[i] ** k * math.factorial(k)
+        yield disjoint_union([pool[i] for i in parts]), aut
 
 
 # -------------------------------------------------------------------- report
@@ -276,12 +284,12 @@ def _class_census(n: int) -> dict[int, dict[tuple[int, ...], list]]:
     sweep over every labeled edge subset.
     """
     census: dict[int, dict[tuple[int, ...], list]] = {m: {} for m in range(1, edge_cap(n) + 1)}
-    for g in _odd_cycle_classes(n):
+    for g, aut in _odd_cycle_classes(n):
         if not g.m:
             continue
         g6 = write_graph6(g)
         entry = census[g.m].setdefault(matching_profile(g).counts, [0, g6])
-        entry[0] += _labeled_copies(g)
+        entry[0] += math.factorial(n) // aut
         entry[1] = min(entry[1], g6)
     return census
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .graphs import Graph, is_connected, is_odd_cycle_graph, iter_bits, long_odd_cycles, write_graph6
 from .matching import matching_polynomial
-from .roots import count_roots_above, max_matching_root
+from .roots import count_roots_above, max_real_root
 from .polynomials import IntPolynomial
 
 
@@ -253,7 +253,7 @@ def dominance(g1: Graph, g2: Graph) -> DominanceVerdict:
     if d.leading < 0:
         return DominanceVerdict.INCOMPARABLE
 
-    t1 = max_matching_root(g1, eps=_T_EPS)
+    t1 = max_real_root(p1, eps=_T_EPS)
     odd_part = IntPolynomial.one()
     for factor, mult in d.squarefree_decomposition():
         if mult % 2 == 1:

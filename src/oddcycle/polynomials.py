@@ -20,6 +20,12 @@ def _normalize(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs[:end]
 
 
+def _ceil_log2_ratio(a: int, b: int) -> int:
+    """Least integer g with a <= b * 2^g, for positive a and b."""
+    g = a.bit_length() - b.bit_length()  # the answer is g or g + 1
+    return g + (a > b << g if g >= 0 else a << -g > b)
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """Immutable integer polynomial; ``coeffs[k]`` is the coefficient of x^k."""
@@ -144,13 +150,23 @@ class IntPolynomial:
             sign = -sign
         return sign
 
-    def cauchy_root_bound(self) -> Fraction:
-        """A rational B with every real root strictly inside (-B, B)."""
-        if self.degree < 1:
-            return Fraction(1)
+    def root_bound(self) -> Fraction:
+        """A power of two B with every real root strictly inside (-B, B).
+
+        With 2^f the least power of two such that |a_{n-k}| <= |a_n| 2^(kf)
+        for every k >= 1, Fujiwara's bound 2 max_k |a_{n-k}/a_n|^(1/k) is at
+        most 2^(f+1); B = 2^(f+2) lies strictly beyond it.  Every bisection
+        midpoint of (-B, B) is then dyadic.
+        """
         lead = abs(self.leading)
-        top = max(abs(c) for c in self.coeffs[:-1])
-        return 2 + Fraction(top, lead)
+        exps = [
+            -(-_ceil_log2_ratio(abs(c), lead) // k)
+            for k, c in enumerate(reversed(self.coeffs[:-1]), start=1)
+            if c
+        ]
+        if not exps:
+            return Fraction(1)
+        return Fraction(2) ** (max(exps) + 2)
 
     # ------------------------------------------------------- integer GCD tools
 
@@ -199,29 +215,27 @@ class IntPolynomial:
         return IntPolynomial(_normalize(tuple(r))), k
 
     def exact_div(self, other: IntPolynomial) -> IntPolynomial:
-        """Exact polynomial division; raises ValueError if not exact over Q."""
+        """Exact polynomial division; raises ValueError unless the quotient
+        is an integer polynomial with zero remainder."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
-        rem = [Fraction(c) for c in self.coeffs]
+        rem = list(self.coeffs)
         d = other.degree
         lc = other.coeffs[-1]
-        quot: list[Fraction] = [Fraction(0)] * (len(rem) - d)
+        quot = [0] * (len(rem) - d)
         for top in range(len(rem) - 1, d - 1, -1):
-            q = rem[top] / lc
-            quot[top - d] = q
+            q, r = divmod(rem[top], lc)
+            if r:
+                raise ValueError("polynomial division is not exact over the integers")
             if q:
+                quot[top - d] = q
                 for i, c in enumerate(other.coeffs):
                     rem[top - d + i] -= q * c
         if any(rem[:d]):
             raise ValueError("polynomial division is not exact")
-        out = []
-        for q in quot:
-            if q.denominator != 1:
-                raise ValueError("exact quotient has non-integer coefficients")
-            out.append(q.numerator)
-        return IntPolynomial(_normalize(tuple(out)))
+        return IntPolynomial(_normalize(tuple(quot)))
 
     def gcd(self, other: IntPolynomial) -> IntPolynomial:
         """Primitive GCD with positive leading coefficient (primitive PRS)."""

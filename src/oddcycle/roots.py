@@ -1,10 +1,13 @@
 """Exact real-root isolation and comparison via fraction-free Sturm chains.
 
 Roots are represented as (squarefree defining polynomial, rational isolating
-interval) pairs; every comparison refines intervals with Sturm counts and
-settles ties through polynomial GCDs, so no verdict ever rests on floating
-point.  The chains use pseudo-remainders with sign tracking to stay in
-integer arithmetic.
+interval) pairs.  Sturm counts isolate: bisection from a power-of-two root
+bound runs only until one root is left above the lower end.  Sign bisection
+refines: an interval holding exactly one simple root and no root at either
+end keeps the half across which the polynomial changes sign.  Comparisons
+certify with Sturm counts and settle ties through polynomial GCDs, so no
+verdict ever rests on floating point.  The chains use pseudo-remainders with
+sign tracking to stay in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -44,24 +47,12 @@ def _sturm_chain(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
     return tuple(chain)
 
 
-def _variations_at(chain, point) -> int:
+def _variations(chain, point) -> int:
+    """Sign variations of the chain at a rational point; None means +infinity."""
     count = 0
     prev = 0
     for p in chain:
-        s = p.sign_at(point)
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
-def _variations_at_infinity(chain, positive: bool) -> int:
-    count = 0
-    prev = 0
-    for p in chain:
-        s = p.sign_at_infinity(positive)
+        s = p.sign_at_infinity() if point is None else p.sign_at(point)
         if s == 0:
             continue
         if prev and s != prev:
@@ -72,9 +63,7 @@ def _variations_at_infinity(chain, positive: bool) -> int:
 
 def _count_roots(chain, lo, hi) -> int:
     """Distinct real roots in (lo, hi]; hi=None means +infinity."""
-    v_lo = _variations_at(chain, lo)
-    v_hi = _variations_at_infinity(chain, True) if hi is None else _variations_at(chain, hi)
-    return v_lo - v_hi
+    return _variations(chain, lo) - _variations(chain, hi)
 
 
 def sturm_root_count(p: IntPolynomial, lo: Fraction | int, hi: Fraction | int) -> int:
@@ -100,14 +89,15 @@ def _nearest_int(f: Fraction) -> int:
     return q + (1 if 2 * rem >= f.denominator else 0)
 
 
-def _nonroot_point(p: IntPolynomial, mid: Fraction, hi: Fraction) -> Fraction:
-    """First point of mid, mid+(hi-mid)/2, mid+(hi-mid)/4, ... avoiding roots."""
+def _nonroot_point(p: IntPolynomial, mid: Fraction, hi: Fraction) -> tuple[Fraction, int]:
+    """First point of mid, mid+(hi-mid)/2, mid+(hi-mid)/4, ... avoiding roots,
+    with the (nonzero) sign of p there."""
     c = mid
     delta = hi - mid
-    while p.sign_at(c) == 0:
+    while not (s := p.sign_at(c)):
         delta /= 2
         c = mid + delta
-    return c
+    return c, s
 
 
 @dataclass(frozen=True)
@@ -128,17 +118,22 @@ class AlgebraicRoot:
         return self.hi - self.lo
 
     def refined(self, eps: Fraction | float) -> AlgebraicRoot:
-        """Shrink the isolating interval to width <= eps (new object)."""
+        """Shrink the isolating interval to width <= eps (new object).
+
+        The one root is simple and neither end is a root, so p changes sign
+        across the interval; each step keeps the half where it still does.
+        """
         eps = Fraction(eps)
-        chain = _sturm_chain(self.poly.coeffs)
+        p = self.poly
         lo, hi = self.lo, self.hi
+        s_hi = p.sign_at(hi)
         while hi - lo > eps:
-            mid = _nonroot_point(self.poly, (lo + hi) / 2, hi)
-            if _count_roots(chain, lo, mid) >= 1:
+            mid, s_mid = _nonroot_point(p, (lo + hi) / 2, hi)
+            if s_mid == s_hi:
                 hi = mid
             else:
                 lo = mid
-        return AlgebraicRoot(self.poly, lo, hi)
+        return AlgebraicRoot(p, lo, hi)
 
     def halved(self) -> AlgebraicRoot:
         return self.refined(self.width / 2)
@@ -210,22 +205,22 @@ def max_real_root(p: IntPolynomial, eps: Fraction | float = EPS_DEFAULT) -> Alge
     sf = p.squarefree_part()
     if sf.degree < 1:
         raise NoRealRootError("constant polynomial has no roots")
-    eps = Fraction(eps)
     chain = _sturm_chain(sf.coeffs)
-    bound = sf.cauchy_root_bound()
+    bound = sf.root_bound()
+    # no root lies at or past the bound, so the chain varies there as at +infinity
     lo, hi = -bound, bound
-    inside = _count_roots(chain, lo, hi)
-    if inside == 0:
+    v_lo = _variations(chain, lo)
+    v_hi = _variations(chain, None)
+    if v_lo == v_hi:
         raise NoRealRootError("no real roots")
-    while inside > 1 or hi - lo > eps:
-        mid = _nonroot_point(sf, (lo + hi) / 2, hi)
-        upper = _count_roots(chain, mid, hi)
-        if upper >= 1:
-            lo = mid
-            inside = upper
+    while v_lo - v_hi > 1:
+        mid, _ = _nonroot_point(sf, (lo + hi) / 2, hi)
+        v_mid = _variations(chain, mid)
+        if v_mid > v_hi:
+            lo, v_lo = mid, v_mid
         else:
-            hi = mid
-    return AlgebraicRoot(sf, lo, hi)
+            hi, v_hi = mid, v_mid
+    return AlgebraicRoot(sf, lo, hi).refined(eps)
 
 
 def max_matching_root(g: Graph, eps: Fraction | float = EPS_DEFAULT) -> AlgebraicRoot:
@@ -254,8 +249,7 @@ def count_roots_above(p: IntPolynomial, root: AlgebraicRoot) -> int:
         ):
             break
         r = r.halved()
-    bound = max(p.cauchy_root_bound(), r.hi + 1)
-    return _count_roots(chain, r.hi, bound)
+    return _count_roots(chain, r.hi, None)
 
 
 def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:

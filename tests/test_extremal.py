@@ -129,7 +129,7 @@ def test_structured_classes_cover_labeled_ones():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_class_census_matches_labeled_sweep(n):
-    classes = list(_odd_cycle_classes(n))
+    classes = [g for g, _ in _odd_cycle_classes(n)]
     for g in classes:
         assert g.n == n
         assert is_odd_cycle_graph(g)
@@ -149,6 +149,13 @@ def test_class_census_matches_labeled_sweep(n):
         for m, groups in _class_census(n).items()
     }
     assert got == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_automorphism_closed_form(n):
+    # prod |Aut(C)|^k * k! over the components must match the group search
+    for g, aut in _odd_cycle_classes(n):
+        assert aut == automorphism_count(g)
 
 
 # ------------------------------------------------------------------ reports

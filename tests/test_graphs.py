@@ -156,6 +156,18 @@ def test_graph6_malformed_inputs():
         parse_graph6("~" + chr(63) + chr(63 + 1) + chr(63 + 36))
 
 
+graph6_alphabet = st.characters(min_codepoint=63, max_codepoint=126)
+
+
+@given(st.one_of(st.text(), st.text(graph6_alphabet, max_size=12).map(lambda t: ">>graph6<<" + t)))
+def test_graph6_arbitrary_text_parses_or_raises_graph6_error(text):
+    try:
+        g = parse_graph6(text)
+    except Graph6Error:
+        return
+    assert isinstance(g, Graph)
+
+
 # --------------------------------------------------------------- edge lists
 
 

@@ -67,15 +67,28 @@ def test_sign_at_matches_evaluation(p, t):
 
 @given(nonzero_polys)
 def test_sign_at_infinity(p):
-    big = p.cauchy_root_bound()
+    big = p.root_bound()
     assert p.sign_at(big) == p.sign_at_infinity(positive=True)
     assert p.sign_at(-big) == p.sign_at_infinity(positive=False)
+
+
+@given(nonzero_polys.filter(lambda p: any(p.coeffs[:-1])))
+def test_root_bound_is_the_least_fujiwara_power_of_two(p):
+    bound = p.root_bound()
+    e = bound.numerator.bit_length() - bound.denominator.bit_length()
+    assert bound == Fraction(2) ** e
+    n, lead = p.degree, abs(p.leading)
+
+    def fits(f):  # |a_{n-k}| <= |a_n| 2^(kf) for every k >= 1
+        return all(abs(p.coeffs[n - k]) <= lead * Fraction(2) ** (k * f) for k in range(1, n + 1))
+
+    assert fits(e - 2) and not fits(e - 3)
 
 
 @given(root_lists)
 def test_cauchy_bound_contains_roots(roots):
     p = from_roots(roots)
-    bound = p.cauchy_root_bound()
+    bound = p.root_bound()
     assert all(-bound < r < bound for r in roots)
 
 
@@ -100,6 +113,14 @@ def test_exact_division_rejects_inexact():
         IntPolynomial.from_coeffs([1, 0, 1]).exact_div(IntPolynomial.from_coeffs([1, 1]))
     with pytest.raises(ZeroDivisionError):
         IntPolynomial.one().exact_div(IntPolynomial.zero())
+
+
+def test_exact_division_rejects_non_integer_quotient():
+    # x / 2x is exact over Q, but its quotient 1/2 is not an integer polynomial
+    with pytest.raises(ValueError):
+        IntPolynomial.from_coeffs([0, 1]).exact_div(IntPolynomial.from_coeffs([0, 2]))
+    with pytest.raises(ValueError):
+        IntPolynomial.from_coeffs([2, 3]).exact_div(IntPolynomial.from_coeffs([2, 2]))
 
 
 def _monic_fractions(p: IntPolynomial) -> tuple[Fraction, ...]:

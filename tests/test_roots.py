@@ -34,6 +34,15 @@ X2_MINUS_2 = IntPolynomial.from_coeffs([-2, 0, 1])
 X2_MINUS_3 = IntPolynomial.from_coeffs([-3, 0, 1])
 
 
+def algebraic_poly(roots, k) -> IntPolynomial:
+    """Integer roots times x^2 - k, so sqrt(k) brings irrational roots in."""
+    return from_roots(roots) * IntPolynomial.from_coeffs([-k, 0, 1])
+
+
+root_lists = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
+algebraic_polys = st.builds(algebraic_poly, root_lists, st.integers(1, 30))
+
+
 def test_sturm_counts():
     assert sturm_root_count(X2_MINUS_2, 0, 2) == 1
     assert sturm_root_count(X2_MINUS_2, -2, 2) == 2
@@ -121,6 +130,30 @@ def test_compare_roots_matches_integer_order(r1, r2):
     assert compare_roots(a, b) == want
 
 
+@given(algebraic_polys, algebraic_polys, algebraic_polys)
+def test_compare_roots_is_antisymmetric_and_transitive(p1, p2, p3):
+    rs = [max_real_root(p, eps=4) for p in (p1, p2, p3)]
+    c = {(i, j): compare_roots(rs[i], rs[j]) for i in range(3) for j in range(3)}
+    for i in range(3):
+        assert c[i, i] == EQ
+        for j in range(3):
+            assert c[i, j] == -c[j, i]
+            for k in range(3):
+                if c[i, j] >= EQ and c[j, k] >= EQ:
+                    assert c[i, k] == max(c[i, j], c[j, k])
+
+
+@given(algebraic_polys, st.integers(1, 10**6))
+def test_refined_interval_keeps_one_sign_change(p, denominator):
+    eps = Fraction(1, denominator)
+    root = max_real_root(p, eps=4)
+    tight = root.refined(eps)
+    assert tight.width <= eps
+    assert root.lo <= tight.lo < tight.hi <= root.hi
+    assert sturm_root_count(tight.poly, tight.lo, tight.hi) == 1
+    assert tight.poly.sign_at(tight.lo) == -tight.poly.sign_at(tight.hi) != 0
+
+
 def test_count_roots_above():
     sqrt2 = max_real_root(X2_MINUS_2)
     p = from_roots([1, 2, 3])
@@ -164,6 +197,11 @@ def test_max_matching_root_of_graphs():
     assert t.decimal_str(8) == "1.84775907"
     sq = IntPolynomial.from_coeffs([2, 0, -4, 0, 1])
     assert t.sign_of(sq) == 0
+
+
+def test_max_matching_root_of_long_cycle():
+    # t(C_n) = 2 cos(pi / (2n)); 1.999378364002 for n = 63
+    assert max_matching_root(cycle_graph(63)).decimal_str(12) == "1.999378364002"
 
 
 def test_isolating_interval_invariants():
