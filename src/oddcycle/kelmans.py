@@ -179,10 +179,8 @@ def reduce_to_F(g: Graph) -> ReductionTrace:
     cur = g
 
     long_steps = 0
-    while True:
-        lset = long_odd_cycles(cur)
-        if not lset.cycles:
-            break
+    lset = long_odd_cycles(cur)
+    while lset.cycles:
         cycle = lset.cycles[0]
         u, v = cycle[0], cycle[2]
         nxt, step = kelmans_transform(cur, u, v, phase=KelmansPhase.LONG_CYCLE)
@@ -196,7 +194,7 @@ def reduce_to_F(g: Graph) -> ReductionTrace:
         if len(after.cycles) not in (len(lset.cycles), len(lset.cycles) - 1):
             raise ReductionInvariantError("long-cycle phase: cycle count changed by more than one")
         steps.append((step, nxt))
-        cur = nxt
+        cur, lset = nxt, after
     if long_steps and 2 * long_steps >= m:
         raise ReductionInvariantError("long-cycle phase exceeded its m/2 step bound")
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from oddcycle import (
+    DominanceVerdict,
     Graph,
     VerificationReport,
     automorphism_count,
@@ -12,6 +13,7 @@ from oddcycle import (
     is_connected,
     is_isomorphic,
     is_odd_cycle_graph,
+    kelmans_transform,
     labeled_odd_cycle_graphs,
     make_F,
     make_H,
@@ -26,8 +28,10 @@ from oddcycle import (
     verify_oracles,
     verify_radius,
     verify_reduction,
+    write_graph6,
 )
 
+from oddcycle import extremal
 from oddcycle.extremal import _class_census, _odd_cycle_classes
 from oracles import has_even_cycle
 
@@ -102,7 +106,7 @@ def test_labeled_counts_frozen():
 
 
 @pytest.mark.parametrize(
-    "n,count", [(1, 1), (2, 1), (3, 2), (4, 3), (5, 8), (6, 17), (7, 47)]
+    "n,count", [(1, 1), (2, 1), (3, 2), (4, 3), (5, 8), (6, 17), (7, 47), (8, 122)]
 )
 def test_structured_class_counts(n, count):
     reps = connected_odd_cycle_reps(n)
@@ -114,6 +118,12 @@ def test_structured_class_counts(n, count):
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             assert not is_isomorphic(reps[i], reps[j])
+
+
+def test_structured_classes_are_grown_once():
+    reps = connected_odd_cycle_reps(6)
+    assert isinstance(reps, tuple)
+    assert connected_odd_cycle_reps(6) is reps
 
 
 def test_structured_classes_cover_labeled_ones():
@@ -226,9 +236,48 @@ def test_verify_reduction_small():
 
 
 def test_verify_dominance_small():
-    rep = verify_dominance(4)
-    assert rep.passed
-    assert rep.claim == "dominance"
+    # every shift that is not strict is the exchange of its two labels:
+    # 4270 of them over n = 2..5
+    for n, checked, exchanged in [(2, 2, 0), (3, 24, 6), (4, 456, 144), (5, 14560, 4120)]:
+        rep = verify_dominance(n)
+        assert rep.passed
+        assert rep.claim == "dominance"
+        assert rep.checked == checked
+        assert rep.witnesses == (
+            f"n={n}: {checked} shifts checked, {exchanged} isomorphic by label exchange",
+        )
+
+
+def test_dominance_reports_exactly_the_non_isomorphic_weak_shifts(monkeypatch):
+    # with every verdict forced to weak, a changed shift passes only as a label
+    # exchange; at n = 4 those are exactly the shifts is_isomorphic accepts
+    n = 4
+    monkeypatch.setattr(extremal, "dominance", lambda g1, g2: DominanceVerdict.WEAKLY_DOMINATES)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    want: list[str] = []
+    isomorphic = 0
+    for mask in range(1 << len(pairs)):
+        g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+        if not is_connected(g):
+            continue
+        for u in range(n):
+            for v in range(n):
+                if u == v:
+                    continue
+                shifted, _ = kelmans_transform(g, u, v)
+                if shifted == g:
+                    continue
+                if is_isomorphic(shifted, g):
+                    isomorphic += 1
+                else:
+                    want.append(
+                        f"{write_graph6(g)} shift ({u},{v}): verdict "
+                        "weakly_dominates on a shift that is not the label exchange"
+                    )
+    rep = verify_dominance(n)
+    assert want and isomorphic
+    assert list(rep.counterexamples) == sorted(want)
+    assert rep.witnesses[0].endswith(f", {isomorphic} isomorphic by label exchange")
 
 
 def test_verify_identity_small():

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oddcycle import (
+    EQ,
     LT,
     DominanceVerdict,
     Graph,
@@ -257,3 +258,19 @@ def test_dominance_is_transitive_along_shift_chains(g, a, b):
     assert second is not INCOMPARABLE
     assert dominance(g2, g) is not INCOMPARABLE
 
+
+
+@st.composite
+def relabelled_classes(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    g = draw(st.sampled_from(connected_odd_cycle_reps(n)))
+    return g, draw(st.permutations(range(n)))
+
+
+@given(relabelled_classes())
+def test_dominance_and_max_root_survive_relabelling(pair):
+    g, perm = pair
+    h = g.relabeled(perm)
+    target = make_F(g.n, g.m)
+    assert dominance(target, h) is dominance(target, g)
+    assert compare_roots(max_matching_root(h), max_matching_root(g)) == EQ
