@@ -15,10 +15,12 @@ import functools
 import math
 import time
 from collections import Counter
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 
 from .graphs import (
     Graph,
@@ -191,7 +193,7 @@ def _odd_cycle_classes(n: int):
     onto its image, so |Aut| = prod_C |Aut(C)|^k_C * k_C!.
     """
     pool = [g for k in range(1, n + 1) for g in connected_odd_cycle_reps(k)]
-    auts = [automorphism_count(g) for g in pool]
+    auts = [a for k in range(1, n + 1) for a in _connected_aut_counts(k)]
 
     def runs(start: int, left: int):
         if not left:
@@ -208,6 +210,12 @@ def _odd_cycle_classes(n: int):
         for i, k in Counter(parts).items():
             aut *= auts[i] ** k * math.factorial(k)
         yield disjoint_union([pool[i] for i in parts]), aut
+
+
+@functools.cache
+def _connected_aut_counts(n: int) -> tuple[int, ...]:
+    """|Aut| of each connected representative of order n, in the same order."""
+    return tuple(automorphism_count(g) for g in connected_odd_cycle_reps(n))
 
 
 # -------------------------------------------------------------------- report
@@ -309,6 +317,28 @@ def _profile_champions(n: int, groups: dict[tuple[int, ...], list]):
     return best_root, best
 
 
+@dataclass(frozen=True)
+class _SizeCensus:
+    """The odd-cycle graphs of one order and size, grouped by matching
+    profile, and the groups whose polynomial has the largest root."""
+
+    groups: Mapping[tuple[int, ...], tuple[int, str]]  # profile -> (labeled count, smallest graph6)
+    root: AlgebraicRoot
+    champions: tuple[tuple[int, ...], ...]
+
+
+@functools.cache
+def _order_census(n: int) -> Mapping[int, _SizeCensus]:
+    """Read-only {m: _SizeCensus} for 1 <= m <= edge_cap(n), built once per
+    process and shared by the classification and conjecture sweeps."""
+    out = {}
+    for m, groups in _class_census(n).items():
+        root, champs = _profile_champions(n, groups)
+        frozen = MappingProxyType({prof: tuple(entry) for prof, entry in groups.items()})
+        out[m] = _SizeCensus(frozen, root, tuple(champs))
+    return MappingProxyType(out)
+
+
 def _pad_to(g: Graph, n: int) -> Graph:
     if g.n == n:
         return g
@@ -346,14 +376,12 @@ def verify_classification(n: int, threads: int = 1) -> VerificationReport:
     t0 = time.perf_counter()
     if not 2 <= n <= CLASSIFICATION_MAX_N:
         raise ValueError(f"classification sweep supports 2 <= n <= {CLASSIFICATION_MAX_N}")
-    census = _class_census(n)
     bad: list[str] = []
     notes: list[str] = []
     checked = 0
-    for m in sorted(census):
-        groups = census[m]
+    for m, size in _order_census(n).items():
+        groups, root, champs = size.groups, size.root, size.champions
         checked += sum(entry[0] for entry in groups.values())
-        root, champs = _profile_champions(n, groups)
         claimed, value_poly = _claimed_maximizers(n, m)
         claimed_profiles = {matching_profile(g).counts for g in claimed}
         witness = min(groups[p][1] for p in champs)
@@ -389,15 +417,14 @@ def verify_conjecture(n: int, threads: int = 1) -> VerificationReport:
     t0 = time.perf_counter()
     if not 2 <= n <= CLASSIFICATION_MAX_N:
         raise ValueError(f"conjecture sweep supports 2 <= n <= {CLASSIFICATION_MAX_N}")
-    census = _class_census(n)
+    census = _order_census(n)
     bad: list[str] = []
     checked = 1  # the edgeless graph, whose maximum root is 0
     best_root: AlgebraicRoot | None = None
     winners: list[tuple[int, tuple[int, ...]]] = []
-    for m in sorted(census):
-        groups = census[m]
-        checked += sum(entry[0] for entry in groups.values())
-        root, champs = _profile_champions(n, groups)
+    for m, size in census.items():
+        root, champs = size.root, size.champions
+        checked += sum(entry[0] for entry in size.groups.values())
         if best_root is None:
             best_root, winners = root, [(m, p) for p in champs]
             continue
@@ -414,7 +441,7 @@ def verify_conjecture(n: int, threads: int = 1) -> VerificationReport:
     if [(edge_cap(n), h_prof)] != sorted(winners):
         bad.append(f"n={n}: global maximizer set is not the edge-maximal family")
     else:
-        count = census[edge_cap(n)][h_prof][0]
+        count = census[edge_cap(n)].groups[h_prof][0]
         if count != _labeled_copies(h):
             bad.append(
                 f"n={n}: {count} labeled maximizers, expected {_labeled_copies(h)} copies"

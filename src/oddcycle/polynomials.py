@@ -1,9 +1,10 @@
 """Dense univariate polynomials with exact integer coefficients.
 
-Coefficients are stored constant-term first.  All arithmetic is exact; the
-only rational operations (evaluation at a Fraction, root bounds) go through
-fractions.Fraction.  Everything downstream (matching polynomials, Sturm
-chains, characteristic polynomials) is built on this type.
+Coefficients are stored constant-term first.  All arithmetic is exact and
+stays in integers: the sign at a rational point a/d is the sign of the
+homogenised value sum c_k a^k d^(n-k), and root bounds are powers of two.
+Everything downstream (matching polynomials, Sturm chains, characteristic
+polynomials) is built on this type.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ class IntPolynomial:
     @staticmethod
     def x() -> IntPolynomial:
         return IntPolynomial((0, 1))
-
-    @staticmethod
-    def monomial(coeff: int, power: int) -> IntPolynomial:
-        if coeff == 0:
-            return IntPolynomial(())
-        return IntPolynomial((0,) * power + (coeff,))
 
     # ------------------------------------------------------------------ basics
 
@@ -131,14 +126,18 @@ class IntPolynomial:
     def sign_at(self, value: Fraction | int) -> int:
         """Sign of the polynomial at a rational point, via integer arithmetic."""
         if isinstance(value, int):
-            a, b = value, 1
-        else:
-            a, b = value.numerator, value.denominator
+            return self.sign_at_ratio(value, 1)
+        return self.sign_at_ratio(value.numerator, value.denominator)
+
+    def sign_at_ratio(self, num: int, den: int) -> int:
+        """Sign of the polynomial at num/den for den > 0, by Horner's rule on
+        the homogenised form sum c_k num^k den^(n-k).  The point (1, 0) is
+        +infinity: the form reduces to the leading coefficient there."""
         acc = 0
         pw = 1
         for c in reversed(self.coeffs):
-            acc = acc * a + c * pw
-            pw *= b
+            acc = acc * num + c * pw
+            pw *= den
         return (acc > 0) - (acc < 0)
 
     def sign_at_infinity(self, positive: bool = True) -> int:
@@ -292,26 +291,6 @@ class IntPolynomial:
         return out
 
     # -------------------------------------------------------------- formatting
-
-    def to_text(self) -> str:
-        """Space-separated coefficients, constant term first ('0' for zero)."""
-        if not self.coeffs:
-            return "0"
-        return " ".join(str(c) for c in self.coeffs)
-
-    @staticmethod
-    def from_text(text: str) -> IntPolynomial:
-        parts = text.split()
-        if not parts:
-            raise ValueError("empty polynomial text")
-        try:
-            return IntPolynomial.from_coeffs(int(p) for p in parts)
-        except ValueError as exc:
-            raise ValueError(f"bad polynomial text {text!r}") from exc
-
-    def coeff_strings(self) -> list[str]:
-        """Coefficients as decimal strings, constant term first (JSON form)."""
-        return [str(c) for c in self.coeffs] if self.coeffs else ["0"]
 
     def pretty(self, var: str = "x") -> str:
         """Human form, highest power first, e.g. 'x^5 - 6x^3 + 5x'."""

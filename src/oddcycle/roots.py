@@ -4,10 +4,13 @@ Roots are represented as (squarefree defining polynomial, rational isolating
 interval) pairs.  Sturm counts isolate: bisection from a power-of-two root
 bound runs only until one root is left above the lower end.  Sign bisection
 refines: an interval holding exactly one simple root and no root at either
-end keeps the half across which the polynomial changes sign.  Comparisons
-certify with Sturm counts and settle ties through polynomial GCDs, so no
-verdict ever rests on floating point.  The chains use pseudo-remainders with
-sign tracking to stay in integer arithmetic.
+end keeps the half across which the polynomial changes sign.  Both loops
+carry the interval as integer numerators over one shared denominator and
+evaluate signs by integer Horner steps; the Fraction endpoints are built
+once, when a loop ends.  Comparisons certify with Sturm counts and settle
+ties through polynomial GCDs, so no verdict ever rests on floating point.
+The chains use pseudo-remainders with sign tracking to stay in integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .graphs import Graph
 from .matching import matching_polynomial
@@ -47,12 +51,12 @@ def _sturm_chain(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
     return tuple(chain)
 
 
-def _variations(chain, point) -> int:
-    """Sign variations of the chain at a rational point; None means +infinity."""
+def _variations(chain, num: int, den: int) -> int:
+    """Sign variations of the chain at num/den; (1, 0) means +infinity."""
     count = 0
     prev = 0
     for p in chain:
-        s = p.sign_at_infinity() if point is None else p.sign_at(point)
+        s = p.sign_at_ratio(num, den)
         if s == 0:
             continue
         if prev and s != prev:
@@ -61,9 +65,10 @@ def _variations(chain, point) -> int:
     return count
 
 
-def _count_roots(chain, lo, hi) -> int:
+def _count_roots(chain, lo: Fraction, hi: Fraction | None) -> int:
     """Distinct real roots in (lo, hi]; hi=None means +infinity."""
-    return _variations(chain, lo) - _variations(chain, hi)
+    num, den = (1, 0) if hi is None else (hi.numerator, hi.denominator)
+    return _variations(chain, lo.numerator, lo.denominator) - _variations(chain, num, den)
 
 
 def sturm_root_count(p: IntPolynomial, lo: Fraction | int, hi: Fraction | int) -> int:
@@ -89,15 +94,21 @@ def _nearest_int(f: Fraction) -> int:
     return q + (1 if 2 * rem >= f.denominator else 0)
 
 
-def _nonroot_point(p: IntPolynomial, mid: Fraction, hi: Fraction) -> tuple[Fraction, int]:
-    """First point of mid, mid+(hi-mid)/2, mid+(hi-mid)/4, ... avoiding roots,
-    with the (nonzero) sign of p there."""
+def _split(p: IntPolynomial, a: int, b: int, d: int) -> tuple[int, int, int, int, int]:
+    """Bisect (a/d, b/d) at a point where p does not vanish.
+
+    Returns (c, a, b, d, s): the point c/d and the ends a/d, b/d over the
+    new common denominator, and the nonzero sign s of p at c/d.  The point
+    is the midpoint, or while p vanishes there the first of mid + (hi -
+    mid)/2, mid + (hi - mid)/4, ... that it does not vanish at.
+    """
+    mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+    step = b - mid
     c = mid
-    delta = hi - mid
-    while not (s := p.sign_at(c)):
-        delta /= 2
-        c = mid + delta
-    return c, s
+    while not (s := p.sign_at_ratio(c, d)):
+        mid, a, b, d = 2 * mid, 2 * a, 2 * b, 2 * d
+        c = mid + step
+    return c, a, b, d, s
 
 
 @dataclass(frozen=True)
@@ -124,16 +135,18 @@ class AlgebraicRoot:
         across the interval; each step keeps the half where it still does.
         """
         eps = Fraction(eps)
+        e_num, e_den = eps.numerator, eps.denominator
         p = self.poly
-        lo, hi = self.lo, self.hi
-        s_hi = p.sign_at(hi)
-        while hi - lo > eps:
-            mid, s_mid = _nonroot_point(p, (lo + hi) / 2, hi)
-            if s_mid == s_hi:
-                hi = mid
+        d = lcm(self.lo.denominator, self.hi.denominator)
+        a, b = int(self.lo * d), int(self.hi * d)
+        s_hi = p.sign_at_ratio(b, d)
+        while (b - a) * e_den > e_num * d:
+            c, a, b, d, s_c = _split(p, a, b, d)
+            if s_c == s_hi:
+                b = c
             else:
-                lo = mid
-        return AlgebraicRoot(p, lo, hi)
+                a = c
+        return AlgebraicRoot(p, Fraction(a, d), Fraction(b, d))
 
     def halved(self) -> AlgebraicRoot:
         return self.refined(self.width / 2)
@@ -208,19 +221,19 @@ def max_real_root(p: IntPolynomial, eps: Fraction | float = EPS_DEFAULT) -> Alge
     chain = _sturm_chain(sf.coeffs)
     bound = sf.root_bound()
     # no root lies at or past the bound, so the chain varies there as at +infinity
-    lo, hi = -bound, bound
-    v_lo = _variations(chain, lo)
-    v_hi = _variations(chain, None)
+    a, b, d = -bound.numerator, bound.numerator, bound.denominator
+    v_lo = _variations(chain, a, d)
+    v_hi = _variations(chain, 1, 0)
     if v_lo == v_hi:
         raise NoRealRootError("no real roots")
     while v_lo - v_hi > 1:
-        mid, _ = _nonroot_point(sf, (lo + hi) / 2, hi)
-        v_mid = _variations(chain, mid)
-        if v_mid > v_hi:
-            lo, v_lo = mid, v_mid
+        c, a, b, d, _ = _split(sf, a, b, d)
+        v_c = _variations(chain, c, d)
+        if v_c > v_hi:
+            a, v_lo = c, v_c
         else:
-            hi, v_hi = mid, v_mid
-    return AlgebraicRoot(sf, lo, hi).refined(eps)
+            b, v_hi = c, v_c
+    return AlgebraicRoot(sf, Fraction(a, d), Fraction(b, d)).refined(eps)
 
 
 def max_matching_root(g: Graph, eps: Fraction | float = EPS_DEFAULT) -> AlgebraicRoot:

@@ -3,10 +3,11 @@
 Everything here deliberately uses different machinery from the library:
 direct bit-string assembly for graph6, simple-path enumeration for even
 cycles, Laplace expansion for characteristic polynomials, frozenset
-bookkeeping for matching counts, and numpy subset tests for the bulk
-matching census.  Slow is fine; these exist to be obviously right.  The two
-identity checks at the end are the exception: they hold the library's own
-matching polynomials to the deletion and disjoint-union identities.
+bookkeeping for matching counts, numpy subset tests for the bulk matching
+census, and Fraction arithmetic for root bisection.  Slow is fine; these
+exist to be obviously right.  The two identity checks at the end are the
+exception: they hold the library's own matching polynomials to the deletion
+and disjoint-union identities.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from oddcycle import IntPolynomial, disjoint_union, matching_polynomial
+from oddcycle import IntPolynomial, NoRealRootError, disjoint_union, matching_polynomial
+from oddcycle.roots import _sturm_chain
 
 
 def graph6_reference(n: int, edges) -> str:
@@ -164,6 +166,80 @@ def gcd_reference(a_coeffs, b_coeffs) -> tuple[Fraction, ...]:
         return ()
     lead = a[-1]
     return tuple(c / lead for c in a)
+
+
+def _sign(p: IntPolynomial, x: Fraction) -> int:
+    value = p.evaluate(x)
+    return (value > 0) - (value < 0)
+
+
+def _variations_reference(chain, point: Fraction | None) -> int:
+    """Sign variations of a Sturm chain at a rational point; None means +infinity."""
+    count = 0
+    prev = 0
+    for p in chain:
+        s = p.sign_at_infinity() if point is None else _sign(p, point)
+        if s == 0:
+            continue
+        if prev and s != prev:
+            count += 1
+        prev = s
+    return count
+
+
+def _nonroot_point(p: IntPolynomial, mid: Fraction, hi: Fraction) -> tuple[Fraction, int]:
+    """First point of mid, mid+(hi-mid)/2, mid+(hi-mid)/4, ... avoiding roots,
+    with the (nonzero) sign of p there."""
+    c = mid
+    delta = hi - mid
+    while not (s := _sign(p, c)):
+        delta /= 2
+        c = mid + delta
+    return c, s
+
+
+def refined_reference(
+    p: IntPolynomial, lo: Fraction, hi: Fraction, eps: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Sign bisection of an isolating interval of p down to width <= eps,
+    in Fraction arithmetic: keep the half across which p changes sign."""
+    s_hi = _sign(p, hi)
+    while hi - lo > eps:
+        mid, s_mid = _nonroot_point(p, (lo + hi) / 2, hi)
+        if s_mid == s_hi:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def max_real_root_reference(p: IntPolynomial, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """Isolating interval of the largest real root of p, width <= eps.
+
+    Sturm bisection in Fraction arithmetic from (-B, B), B the power-of-two
+    root bound, until one root is left above the lower end; then
+    refined_reference.
+    """
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    sf = p.squarefree_part()
+    if sf.degree < 1:
+        raise NoRealRootError("constant polynomial has no roots")
+    chain = _sturm_chain(sf.coeffs)
+    bound = sf.root_bound()
+    lo, hi = -bound, bound
+    v_lo = _variations_reference(chain, lo)
+    v_hi = _variations_reference(chain, None)
+    if v_lo == v_hi:
+        raise NoRealRootError("no real roots")
+    while v_lo - v_hi > 1:
+        mid, _ = _nonroot_point(sf, (lo + hi) / 2, hi)
+        v_mid = _variations_reference(chain, mid)
+        if v_mid > v_hi:
+            lo, v_lo = mid, v_mid
+        else:
+            hi, v_hi = mid, v_mid
+    return refined_reference(sf, lo, hi, eps)
 
 
 def bulk_matching_profiles(n: int):

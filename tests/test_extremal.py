@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -159,6 +160,41 @@ def test_class_census_matches_labeled_sweep(n):
         for m, groups in _class_census(n).items()
     }
     assert got == want
+
+
+def test_order_census_is_built_once_and_read_only(monkeypatch):
+    census = extremal._order_census(5)
+    assert extremal._order_census(5) is census
+    size = census[edge_cap(5)]
+    prof, entry = next(iter(size.groups.items()))
+    assert isinstance(entry, tuple) and isinstance(size.champions, tuple)
+    with pytest.raises(TypeError):
+        census[1] = size
+    with pytest.raises(TypeError):
+        size.groups[prof] = (0, "")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        size.champions = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        size.root.lo = 0
+    # connected classes keep their |Aut| for the rest of the process
+    list(_odd_cycle_classes(5))
+    monkeypatch.setattr(extremal, "automorphism_count", None)
+    assert [aut for _, aut in _odd_cycle_classes(5)]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_conjecture_reuses_the_classification_census(n, monkeypatch):
+    assert verify_classification(n).passed
+    calls = []
+    isolate = extremal.max_real_root
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return isolate(*args, **kwargs)
+
+    monkeypatch.setattr(extremal, "max_real_root", counting)
+    assert verify_conjecture(n).passed
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", range(1, 8))

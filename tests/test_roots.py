@@ -22,6 +22,8 @@ from oddcycle import (
     sturm_root_count,
 )
 
+from oracles import max_real_root_reference, refined_reference
+
 
 def from_roots(roots) -> IntPolynomial:
     p = IntPolynomial.one()
@@ -41,6 +43,11 @@ def algebraic_poly(roots, k) -> IntPolynomial:
 
 root_lists = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
 algebraic_polys = st.builds(algebraic_poly, root_lists, st.integers(1, 30))
+random_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=9).map(IntPolynomial.from_coeffs)
+# dyadic and non-dyadic widths, down to the default
+widths = st.sampled_from(
+    [Fraction(1, 2**40), Fraction(1, 2**16), Fraction(1, 3), Fraction(7, 10**9), Fraction(5, 2)]
+)
 
 
 def test_sturm_counts():
@@ -152,6 +159,26 @@ def test_refined_interval_keeps_one_sign_change(p, denominator):
     assert root.lo <= tight.lo < tight.hi <= root.hi
     assert sturm_root_count(tight.poly, tight.lo, tight.hi) == 1
     assert tight.poly.sign_at(tight.lo) == -tight.poly.sign_at(tight.hi) != 0
+
+
+@given(random_polys | algebraic_polys, widths)
+def test_bisection_matches_fraction_oracle(p, eps):
+    try:
+        want = max_real_root_reference(p, eps)
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            max_real_root(p, eps)
+        return
+    got = max_real_root(p, eps)
+    assert (got.lo, got.hi) == want
+    # a bracket with thirds for ends, isolating the root nearest zero
+    sf = p.squarefree_part()
+    for k in range(1, 64):
+        lo, hi = Fraction(-k, 3), Fraction(k, 3)
+        if sf.evaluate(lo) and sf.evaluate(hi) and sturm_root_count(sf, lo, hi) == 1:
+            got = AlgebraicRoot(sf, lo, hi).refined(eps)
+            assert (got.lo, got.hi) == refined_reference(sf, lo, hi, eps)
+            break
 
 
 def test_count_roots_above():
