@@ -346,7 +346,13 @@ def _pad_to(g: Graph, n: int) -> Graph:
 
 
 def _labeled_copies(g: Graph) -> int:
-    return math.factorial(g.n) // automorphism_count(g)
+    """n!/|Aut(G)|, with |Aut(G)| = |Aut(G - I)| * |I|! for the isolated
+    vertices I, so the automorphism search sees only the part with edges."""
+    busy = [v for v in range(g.n) if g.adj[v]]
+    aut = math.factorial(g.n - len(busy))
+    if busy:
+        aut *= automorphism_count(g.induced(busy)[0])
+    return math.factorial(g.n) // aut
 
 
 def _claimed_maximizers(n: int, m: int) -> tuple[list[Graph], IntPolynomial | None]:

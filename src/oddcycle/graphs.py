@@ -86,22 +86,6 @@ class Graph:
                 v += 1
         return tuple(out)
 
-    def with_edge(self, u: int, v: int) -> Graph:
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"bad edge ({u},{v})")
-        rows = list(self.adj)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
-
-    def without_edge(self, u: int, v: int) -> Graph:
-        if not self.has_edge(u, v):
-            raise ValueError(f"edge ({u},{v}) not present")
-        rows = list(self.adj)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows))
-
     def relabeled(self, perm) -> Graph:
         """Relabel by perm (perm[old] = new); perm must be a permutation of 0..n-1."""
         perm = tuple(perm)

@@ -31,10 +31,6 @@ class MatchingProfile:
 
     counts: tuple[int, ...]
 
-    @property
-    def max_size(self) -> int:
-        return len(self.counts) - 1
-
 
 @cache
 def _field_width(n: int) -> int:

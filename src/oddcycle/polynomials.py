@@ -140,15 +140,6 @@ class IntPolynomial:
             pw *= den
         return (acc > 0) - (acc < 0)
 
-    def sign_at_infinity(self, positive: bool = True) -> int:
-        if not self.coeffs:
-            return 0
-        lead = self.leading
-        sign = (lead > 0) - (lead < 0)
-        if not positive and self.degree % 2 == 1:
-            sign = -sign
-        return sign
-
     def root_bound(self) -> Fraction:
         """A power of two B with every real root strictly inside (-B, B).
 

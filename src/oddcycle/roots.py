@@ -267,14 +267,12 @@ def count_roots_above(p: IntPolynomial, root: AlgebraicRoot) -> int:
 
 def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:
     """Exact order of two algebraic roots: LT (-1), EQ (0) or GT (+1)."""
-    g = a.poly.gcd(b.poly)
-    gchain = _sturm_chain(g.coeffs) if g.degree >= 1 else None
-    while True:
-        if a.hi <= b.lo:
-            return LT
-        if b.hi <= a.lo:
-            return GT
-        if gchain is not None:
+    gchain = None  # Sturm chain of gcd(a.poly, b.poly), () when it is constant
+    while a.hi > b.lo and b.hi > a.lo:
+        if gchain is None:
+            g = a.poly.gcd(b.poly)
+            gchain = _sturm_chain(g.coeffs) if g.degree >= 1 else ()
+        if gchain:
             in_a = _count_roots(gchain, a.lo, a.hi)
             in_b = _count_roots(gchain, b.lo, b.hi)
             if in_a >= 1 and in_b >= 1:
@@ -284,3 +282,4 @@ def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:
                     return EQ
         a = a.halved()
         b = b.halved()
+    return LT if a.hi <= b.lo else GT

@@ -3,8 +3,12 @@
 An orientation assigns a direction to every edge; the skew-adjacency matrix
 S has S[u][v] = +1 for an arc u -> v, -1 the other way, 0 otherwise.  The
 characteristic polynomial det(xI - S) is computed exactly over the integers
-by Berkowitz's division-free recurrence.  It is constant on each switching
-class of orientations, so sweeps evaluate one representative per class.
+by Berkowitz's division-free recurrence, specialised to skew S: a block M of
+S is skew, and so is M^j for odd j, so c^T M^j c = 0 for odd j and
+c^T M^(2i) c = (-1)^i |M^i c|^2.  Each step then needs half the products
+with M, and det(xI - S) has only the terms x^(n - 2i).  It is constant on
+each switching class of orientations, so sweeps evaluate one representative
+per class.
 """
 
 from __future__ import annotations
@@ -123,27 +127,58 @@ def skew_char_poly(o: Orientation) -> IntPolynomial:
     Berkowitz's division-free recurrence: bordering the leading k x k block
     M by a column c, a row r and a corner a multiplies det(xI - M) by the
     lower-triangular Toeplitz matrix with first column
-    (1, -a, -r c, -r M c, ..., -r M^(k-1) c).  Only integer products and
-    sums occur.
+    (1, -a, -r c, -r M c, ..., -r M^(k-1) c).  For skew S the corner is 0
+    and r = -c^T, so each entry -r M^j c is c^T M^j c: 0 for odd j, because
+    M^j is then skew, and (-1)^i |M^i c|^2 for j = 2i.  A step thus takes
+    floor((k - 1)/2) products with M, each a pass over the signed neighbour
+    lists of the vertices below k.  det(xI - M) is carried by its even part,
+    the coefficients of x^k, x^(k-2), ..., which the Toeplitz matrix
+    multiplies as the series 1 + |c|^2 t - |M c|^2 t^2 + ... in t = x^-2.
+    Only integer products and sums occur.
     """
     n = o.graph.n
     if n > CHAR_POLY_MAX_N:
         raise GraphTooLargeError(f"skew characteristic polynomial limited to n <= {CHAR_POLY_MAX_N}")
-    s = o.skew_matrix()
-    poly = [1]  # det(xI - M), highest degree first
-    for k in range(n):
-        toeplitz = [1, -s[k][k]]
-        vec = [s[i][k] for i in range(k)]
-        # zip stops after len(vec) = k entries, so rows read only the block M
-        for step in range(k):
-            toeplitz.append(-sum(a * b for a, b in zip(s[k], vec)))
-            if step + 1 < k:
-                vec = [sum(a * b for a, b in zip(s[i], vec)) for i in range(k)]
-        poly = [
-            sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
-            for i in range(k + 2)
-        ]
-    return IntPolynomial.from_coeffs(poly[::-1])
+    # border[v]: the pairs (u, S[u][v]) for u < v, the column that borders block v
+    border: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for bit, (u, v) in enumerate(o.graph.edge_list()):
+        border[v].append((u, 1 if o.mask >> bit & 1 else -1))
+    # rows[v]: the pairs (w, S[v][w]) for w < k, so rows[:k] is the block M
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    even = [1]  # det(xI - M) as the coefficients of x^k, x^(k-2), ...
+    for k, c in enumerate(border):
+        if k % 2:
+            even.append(0)  # the block of order k + 1 has a constant term
+        if not c:
+            continue
+        series = [len(c)]  # |c|^2, -|M c|^2, |M^2 c|^2, ...
+        vec = [0] * k
+        for u, s in c:
+            vec[u] = s
+        sign = -1
+        for _ in range((k - 1) // 2):
+            nxt = []
+            square = 0
+            for row in rows[:k]:
+                acc = 0
+                for w, s in row:
+                    acc += s * vec[w]
+                nxt.append(acc)
+                square += acc * acc
+            vec = nxt
+            series.append(sign * square)
+            sign = -sign
+        for u, s in c:
+            rows[u].append((k, s))
+            rows[k].append((u, -s))
+        grown = even[:]
+        for i, t in enumerate(series, 1):
+            for j in range(len(even) - i):
+                grown[i + j] += t * even[j]
+        even = grown
+    coeffs = [0] * (n + 1)
+    coeffs[n::-2] = even
+    return IntPolynomial.from_coeffs(coeffs)
 
 
 def _identity_target(g: Graph) -> IntPolynomial:

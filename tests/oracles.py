@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from oddcycle import IntPolynomial, NoRealRootError, disjoint_union, matching_polynomial
+from oddcycle import Graph, IntPolynomial, NoRealRootError, disjoint_union, matching_polynomial
 from oddcycle.roots import _sturm_chain
 
 
@@ -178,7 +178,7 @@ def _variations_reference(chain, point: Fraction | None) -> int:
     count = 0
     prev = 0
     for p in chain:
-        s = p.sign_at_infinity() if point is None else _sign(p, point)
+        s = (p.leading > 0) - (p.leading < 0) if point is None else _sign(p, point)
         if s == 0:
             continue
         if prev and s != prev:
@@ -277,7 +277,8 @@ def check_deletion_identity(g, edge: tuple[int, int]) -> bool:
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
     whole = matching_polynomial(g)
-    deleted = matching_polynomial(g.without_edge(u, v))
+    kept = set(g.edge_list()) - {(min(u, v), max(u, v))}
+    deleted = matching_polynomial(Graph.from_edges(g.n, kept))
     rest = [w for w in range(g.n) if w not in (u, v)]
     if rest:
         sub, _ = g.induced(rest)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -202,6 +203,23 @@ def test_class_automorphism_closed_form(n):
     # prod |Aut(C)|^k * k! over the components must match the group search
     for g, aut in _odd_cycle_classes(n):
         assert aut == automorphism_count(g)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_labeled_copies_search_only_the_part_with_edges(n, monkeypatch):
+    searched = []
+    search = extremal.automorphism_count
+
+    def counting(g, *args, **kwargs):
+        searched.append(g)
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(extremal, "automorphism_count", counting)
+    padded = [extremal._pad_to(g, n) for k in range(1, n + 1) for g in connected_odd_cycle_reps(k)]
+    for g in padded:
+        assert extremal._labeled_copies(g) == math.factorial(n) // automorphism_count(g)
+    assert all(min(h.adj) for h in searched)
+    assert len(searched) == len(padded) - 1  # all but the single vertex have edges
 
 
 # ------------------------------------------------------------------ reports

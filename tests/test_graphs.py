@@ -67,16 +67,6 @@ def test_edge_list_is_lexicographic():
     assert g.max_degree() == 2
 
 
-def test_edge_add_remove():
-    g = path_graph(3)
-    assert g.with_edge(0, 2).m == 3
-    assert g.without_edge(0, 1).m == 1
-    with pytest.raises(ValueError):
-        g.with_edge(1, 1)
-    with pytest.raises(ValueError):
-        g.without_edge(0, 2)
-
-
 def test_constructors():
     assert path_graph(1).m == 0
     assert path_graph(5).m == 4

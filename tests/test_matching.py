@@ -48,7 +48,7 @@ def test_profiles_of_known_graphs():
     assert matching_profile(path_graph(5)).counts == (1, 4, 3)
     assert matching_profile(Graph.empty(4)).counts == (1, 0, 0)
     assert matching_profile(complete_graph(7)).counts == (1, 21, 105, 105)
-    assert matching_profile(star_graph(3)).max_size == 2
+    assert len(matching_profile(star_graph(3)).counts) - 1 == 2
 
 
 def test_polynomials_of_known_graphs():

@@ -129,6 +129,26 @@ def test_compare_roots():
     assert compare_roots(two, sqrt3) == GT
 
 
+def test_compare_roots_takes_the_gcd_only_once_the_intervals_overlap(monkeypatch):
+    sqrt2 = max_real_root(X2_MINUS_2)
+    sqrt3 = max_real_root(X2_MINUS_3)
+    assert sqrt2.hi <= sqrt3.lo
+    calls = []
+    gcd = IntPolynomial.gcd
+
+    def counting(self, other):
+        calls.append(other)
+        return gcd(self, other)
+
+    monkeypatch.setattr(IntPolynomial, "gcd", counting)
+    assert compare_roots(sqrt2, sqrt3) == LT
+    assert compare_roots(sqrt3, sqrt2) == GT
+    assert calls == []
+    sqrt2_again = max_real_root(IntPolynomial.from_coeffs([4, 0, -4, 0, 1]))
+    assert compare_roots(sqrt2, sqrt2_again) == EQ
+    assert calls
+
+
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4), st.lists(st.integers(-6, 6), min_size=1, max_size=4))
 def test_compare_roots_matches_integer_order(r1, r2):
     a = max_real_root(from_roots(r1))

@@ -64,9 +64,25 @@ def test_skew_matrix_is_skew_symmetric(o):
         assert s[i][i] == 0
 
 
-@given(oriented_graphs())
+@given(oriented_graphs(max_n=8))
 def test_char_poly_matches_laplace_expansion(o):
     assert skew_char_poly(o).coeffs == charpoly_reference(o.skew_matrix())[: o.graph.n + 1]
+
+
+def test_char_poly_matches_laplace_expansion_exhaustive():
+    """Every orientation of every labeled graph of order <= 4, and every
+    switching-class representative of every labeled graph of order 5."""
+    checked = 0
+    for n in range(1, 6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for emask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (emask >> i) & 1])
+            masks = range(1 << g.m) if n <= 4 else SwitchingClasses(g).representatives()
+            for mask in masks:
+                o = Orientation(g, mask)
+                assert skew_char_poly(o).coeffs == charpoly_reference(o.skew_matrix())[: n + 1]
+                checked += 1
+    assert checked == 1 + 3 + 27 + 729 + 3969
 
 
 @given(oriented_graphs())
