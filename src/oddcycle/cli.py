@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .extremal import (
+    SUITE_ORDERS,
     VerificationReport,
     make_F,
     make_H,
@@ -243,76 +245,52 @@ def _cmd_dominance(args) -> int:
     return 0
 
 
-_SUITE_ALIASES = {
-    "classification": "classification",
+_ALIASES = {
     "1.5": "classification",
-    "conjecture": "conjecture",
     "4.2": "conjecture",
-    "monotonicity": "monotonicity",
     "4.1": "monotonicity",
-    "reduction": "reduction",
     "2.2": "reduction",
-    "dominance": "dominance",
     "3.7": "dominance",
     "3.12": "dominance",
-    "identity": "identity",
     "1.2": "identity",
-    "radius": "radius",
-    "oracles": "oracles",
-}
-
-_SUITE_DEFAULT_MAX_N = {
-    "classification": 6,
-    "conjecture": 6,
-    "monotonicity": 20,
-    "reduction": 6,
-    "dominance": 5,
-    "identity": 5,
-    "radius": 5,
-    "oracles": 5,
-}
-
-_SUITE_MIN_N = {
-    "classification": 2,
-    "conjecture": 2,
-    "reduction": 1,
-    "dominance": 2,
-    "identity": 1,
-    "radius": 1,
-    "oracles": 1,
 }
 
 
-def run_verification(suite: str, max_n: int, threads: int = 1) -> VerificationReport:
-    """Run one verification suite over orders up to max_n and merge reports."""
-    name = _SUITE_ALIASES.get(suite)
-    if name is None:
-        raise UsageError(f"unknown verification suite {suite!r}")
-    if name == "monotonicity":
-        return verify_monotonicity(max_n, threads)
-    by_name = {
+def run_verification(suite: str, max_n: int | None, threads: int = 1) -> VerificationReport:
+    """Run one verification suite over orders up to max_n (None: the suite's
+    default) and merge reports.  An order outside the suite's range is
+    rejected before anything runs."""
+    # built on each call from the module's current names, which tracers and
+    # tests may wrap
+    runners = {
         "classification": verify_classification,
         "conjecture": verify_conjecture,
+        "monotonicity": verify_monotonicity,
         "reduction": verify_reduction,
         "dominance": verify_dominance,
         "identity": verify_identity,
         "radius": verify_radius,
         "oracles": verify_oracles,
     }
-    runner = by_name[name]
-    lo = _SUITE_MIN_N[name]
-    if max_n < lo:
-        raise UsageError(f"suite {name} needs --max-n >= {lo}")
+    name = _ALIASES.get(suite, suite)
+    runner = runners.get(name)
+    if runner is None:
+        raise UsageError(f"unknown verification suite {suite!r}")
+    lo, hi, default = SUITE_ORDERS[name]
+    max_n = default if max_n is None else max_n
+    if not lo <= max_n <= hi:
+        raise UsageError(f"suite {name} needs {lo} <= --max-n <= {hi}")
+    if name == "monotonicity":
+        return runner(max_n, threads)
     parts = [runner(n, threads) for n in range(lo, max_n + 1)]
     return merge_reports(name, f"orders {lo}..{max_n}", parts)
 
 
 def _cmd_verify(args) -> int:
-    name = _SUITE_ALIASES.get(args.suite)
-    if name is None:
-        raise UsageError(f"unknown verification suite {args.suite!r}")
-    max_n = args.max_n if args.max_n is not None else _SUITE_DEFAULT_MAX_N[name]
-    report = run_verification(args.suite, max_n, args.threads)
+    cores = os.cpu_count() or 1
+    if not 1 <= args.threads <= cores:
+        raise UsageError(f"--threads must be in 1..{cores}")
+    report = run_verification(args.suite, args.max_n, args.threads)
     payload = {"schema": _SCHEMA, "command": "verify", **report.to_json_dict()}
     _emit(payload, [report.to_table()], args.format, args.out)
     return 0 if report.passed else 1

@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from types import MappingProxyType
 
 from .graphs import (
@@ -46,8 +46,19 @@ from .skew import Orientation, SwitchingClasses, _alternating_form, _identity_ta
 
 LABELED_MAX_N = 9
 STRUCTURED_MAX_N = 11
-CLASSIFICATION_MAX_N = 8
-MONOTONIC_MAX_N = 20
+
+# suite -> (lowest order, highest order, CLI default for --max-n); for
+# monotonicity the order is the grid's largest n
+SUITE_ORDERS = {
+    "classification": (2, 8, 6),
+    "conjecture": (2, 8, 6),
+    "monotonicity": (2, 20, 20),
+    "reduction": (1, 8, 6),
+    "dominance": (2, 6, 5),
+    "identity": (1, 6, 5),
+    "radius": (1, 6, 5),
+    "oracles": (1, 7, 5),
+}
 
 _SWEEP_EPS = Fraction(1, 2**16)
 
@@ -270,13 +281,31 @@ def merge_reports(claim: str, universe: str, parts: list[VerificationReport]) ->
     )
 
 
+def _check_order(suite: str, n: int) -> None:
+    lo, hi, _ = SUITE_ORDERS[suite]
+    if not lo <= n <= hi:
+        raise ValueError(f"{suite} sweep supports {lo} <= n <= {hi}")
+
+
+def _report(claim: str, universe: str, checked: int, bad, witnesses, t0: float):
+    """A report whose elapsed time runs from t0 to now."""
+    elapsed = time.perf_counter() - t0
+    return VerificationReport(claim, universe, checked, tuple(bad), tuple(witnesses), elapsed)
+
+
 def _run_shards(worker, n: int, threads: int):
+    """Run worker on each of max(1, threads) shards of order n.  Workers
+    return (counterexamples, *values); the result is the sorted
+    counterexamples of all shards and one tuple per value column."""
     shards = max(1, threads)
     tasks = [(n, s, shards) for s in range(shards)]
     if shards == 1:
-        return [worker(tasks[0])]
-    with ProcessPoolExecutor(max_workers=shards) as pool:
-        return list(pool.map(worker, tasks))
+        parts = [worker(tasks[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=shards) as pool:
+            parts = list(pool.map(worker, tasks))
+    bad, *columns = zip(*parts)
+    return sorted(c for shard_bad in bad for c in shard_bad), columns
 
 
 # ------------------------------------------------------- profile census
@@ -380,8 +409,7 @@ def verify_classification(n: int, threads: int = 1) -> VerificationReport:
     threads is accepted for a uniform signature and ignored.
     """
     t0 = time.perf_counter()
-    if not 2 <= n <= CLASSIFICATION_MAX_N:
-        raise ValueError(f"classification sweep supports 2 <= n <= {CLASSIFICATION_MAX_N}")
+    _check_order("classification", n)
     bad: list[str] = []
     notes: list[str] = []
     checked = 0
@@ -403,17 +431,9 @@ def verify_classification(n: int, threads: int = 1) -> VerificationReport:
         if value_poly is not None:
             if root.compare_to_rational(0) != GT or root.sign_of(value_poly) != 0:
                 bad.append(f"n={n} m={m}: maximum root differs from the claimed closed form")
-        if m == n - 1 >= 4 and not is_isomorphic(make_F(n, m), star_graph(n - 1)):
-            bad.append(f"n={n} m={m}: boundary case mismatch between the star and F")
         notes.append(f"n={n} m={m}: t~{root.decimal_str(6)} witness {witness} x{actual_count}")
-    return VerificationReport(
-        claim="classification",
-        universe=f"all labeled odd-cycle graphs of order {n}, 1 <= m <= {edge_cap(n)}",
-        checked=checked,
-        counterexamples=tuple(bad),
-        witnesses=tuple(notes),
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    universe = f"all labeled odd-cycle graphs of order {n}, 1 <= m <= {edge_cap(n)}"
+    return _report("classification", universe, checked, bad, notes, t0)
 
 
 def verify_conjecture(n: int, threads: int = 1) -> VerificationReport:
@@ -421,8 +441,7 @@ def verify_conjecture(n: int, threads: int = 1) -> VerificationReport:
     order n, isolated-vertex padding included.  Like verify_classification,
     runs over isomorphism classes and ignores threads."""
     t0 = time.perf_counter()
-    if not 2 <= n <= CLASSIFICATION_MAX_N:
-        raise ValueError(f"conjecture sweep supports 2 <= n <= {CLASSIFICATION_MAX_N}")
+    _check_order("conjecture", n)
     census = _order_census(n)
     bad: list[str] = []
     checked = 1  # the edgeless graph, whose maximum root is 0
@@ -452,14 +471,9 @@ def verify_conjecture(n: int, threads: int = 1) -> VerificationReport:
             bad.append(
                 f"n={n}: {count} labeled maximizers, expected {_labeled_copies(h)} copies"
             )
-    return VerificationReport(
-        claim="conjecture",
-        universe=f"all labeled odd-cycle graphs of order {n}",
-        checked=checked,
-        counterexamples=tuple(bad),
-        witnesses=(f"n={n}: t(H_{n})~{best_root.decimal_str(6)}, {write_graph6(h)}",),
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    universe = f"all labeled odd-cycle graphs of order {n}"
+    witness = f"n={n}: t(H_{n})~{best_root.decimal_str(6)}, {write_graph6(h)}"
+    return _report("conjecture", universe, checked, bad, [witness], t0)
 
 
 # ----------------------------------------------------------- monotonic grid
@@ -469,8 +483,7 @@ def verify_monotonicity(n_max: int, threads: int = 1) -> VerificationReport:
     """Strict growth of t(F(n, m)) in m (fixed n) and in n (fixed m >= 4)
     over every grid point where both endpoints are defined."""
     t0 = time.perf_counter()
-    if not 2 <= n_max <= MONOTONIC_MAX_N:
-        raise ValueError(f"monotonicity grid supports 2 <= n_max <= {MONOTONIC_MAX_N}")
+    _check_order("monotonicity", n_max)
     roots: dict[tuple[int, int], AlgebraicRoot] = {}
 
     def root_of(n: int, m: int) -> AlgebraicRoot:
@@ -495,30 +508,29 @@ def verify_monotonicity(n_max: int, threads: int = 1) -> VerificationReport:
                 m4_checked += 1
             if compare_roots(root_of(n + 1, m), root_of(n, m)) != GT:
                 bad.append(f"t(F({n},{m})) >= t(F({n + 1},{m}))")
-    return VerificationReport(
-        claim="monotonicity",
-        universe=f"F(n, m) grid, 2 <= n <= {n_max}, both endpoints defined",
-        checked=checked,
-        counterexamples=tuple(bad),
-        witnesses=(f"m=4 column pairs checked: {m4_checked}, all strict",),
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    universe = f"F(n, m) grid, 2 <= n <= {n_max}, both endpoints defined"
+    witness = f"m=4 column pairs checked: {m4_checked}, all strict"
+    return _report("monotonicity", universe, checked, bad, [witness], t0)
 
 
 # -------------------------------------------------------------- reduction
 
 
+def _is_F(g: Graph, n: int, m: int) -> bool:
+    """g is isomorphic to F(n, m): one vertex is adjacent to all others, whose
+    edges among themselves form a matching.  (In an odd-cycle graph the first
+    part implies the second: two such edges at one vertex close a 4-cycle.)"""
+    degrees = sorted((row.bit_count() for row in g.adj), reverse=True)
+    return g.n == n and g.m == m and degrees[0] == n - 1 and all(d <= 2 for d in degrees[1:])
+
+
 def _reduction_worker(args: tuple[int, int, int]):
     n, shard, shards = args
-    reps = connected_odd_cycle_reps(n)
+    classes = connected_odd_cycle_reps(n)[shard::shards]
     bad: list[str] = []
-    checked = 0
     max_steps = 0
     target_roots: dict[int, AlgebraicRoot] = {}
-    for i, g in enumerate(reps):
-        if shards > 1 and i % shards != shard:
-            continue
-        checked += 1
+    for g in classes:
         g6 = write_graph6(g)
         m = g.m
         trace = reduce_to_F(g)
@@ -535,10 +547,10 @@ def _reduction_worker(args: tuple[int, int, int]):
                 bad.append(f"{g6}: intermediate graph {write_graph6(mid)} broke an invariant")
                 break
         target = make_F(n, m)
-        if not is_isomorphic(trace.final, target):
+        if not _is_F(trace.final, n, m):
             bad.append(f"{g6}: final graph {write_graph6(trace.final)} is not F({n},{m})")
             continue
-        if is_isomorphic(g, target):
+        if _is_F(g, n, m):
             if dominance(target, g) != DominanceVerdict.EQUAL_POLYNOMIALS:
                 bad.append(f"{g6}: expected equal polynomials against F({n},{m})")
         else:
@@ -550,7 +562,7 @@ def _reduction_worker(args: tuple[int, int, int]):
                 target_roots[m] = tr
             if compare_roots(tr, max_real_root(matching_polynomial(g), eps=_SWEEP_EPS)) != GT:
                 bad.append(f"{g6}: t(F({n},{m})) is not strictly larger")
-    return bad, checked, max_steps
+    return bad, len(classes), max_steps
 
 
 def verify_reduction(n: int, threads: int = 1) -> VerificationReport:
@@ -558,20 +570,11 @@ def verify_reduction(n: int, threads: int = 1) -> VerificationReport:
     the step bounds, through valid intermediates, and is strictly dominated
     by its target unless already isomorphic to it."""
     t0 = time.perf_counter()
-    if not 1 <= n <= CLASSIFICATION_MAX_N:
-        raise ValueError(f"reduction sweep supports 1 <= n <= {CLASSIFICATION_MAX_N}")
-    parts = _run_shards(_reduction_worker, n, threads)
-    bad = sorted(c for p in parts for c in p[0])
-    checked = sum(p[1] for p in parts)
-    max_steps = max(p[2] for p in parts)
-    return VerificationReport(
-        claim="reduction",
-        universe=f"connected odd-cycle graphs of order {n}, one per isomorphism class",
-        checked=checked,
-        counterexamples=tuple(bad),
-        witnesses=(f"n={n}: {checked} classes, longest trace {max_steps} steps",),
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    _check_order("reduction", n)
+    bad, (checked, steps) = _run_shards(_reduction_worker, n, threads)
+    universe = f"connected odd-cycle graphs of order {n}, one per isomorphism class"
+    witness = f"n={n}: {sum(checked)} classes, longest trace {max(steps)} steps"
+    return _report("reduction", universe, sum(checked), bad, [witness], t0)
 
 
 # ------------------------------------------------------- kelmans dominance
@@ -596,33 +599,30 @@ def _dominance_worker(args: tuple[int, int, int]):
         if _component_mask(rows, 0, full) != full:
             continue
         g = Graph(n, tuple(rows))
-        for u in range(n):
-            for v in range(n):
-                if u == v:
-                    continue
-                shifted, _ = kelmans_transform(g, u, v)
-                checked += 1
-                if shifted.adj == g.adj:
-                    continue
-                key = (poly_of(shifted).coeffs, poly_of(g).coeffs)
-                verdict = verdict_cache.get(key)
-                if verdict is None:
-                    verdict = dominance(shifted, g)
-                    verdict_cache[key] = verdict
-                if verdict == DominanceVerdict.INCOMPARABLE:
-                    bad.append(f"{write_graph6(g)} shift ({u},{v}): incomparable")
-                elif verdict != DominanceVerdict.STRICTLY_DOMINATES:
-                    # a shift that is not strict must be the exchange of the
-                    # labels u and v, an explicit isomorphism
-                    swap = list(range(n))
-                    swap[u], swap[v] = v, u
-                    if g.relabeled(swap) == shifted:
-                        exchanged += 1
-                    else:
-                        bad.append(
-                            f"{write_graph6(g)} shift ({u},{v}): verdict "
-                            f"{verdict.value} on a shift that is not the label exchange"
-                        )
+        for u, v in permutations(range(n), 2):
+            shifted, _ = kelmans_transform(g, u, v)
+            checked += 1
+            if shifted.adj == g.adj:
+                continue
+            key = (poly_of(shifted).coeffs, poly_of(g).coeffs)
+            verdict = verdict_cache.get(key)
+            if verdict is None:
+                verdict = dominance(shifted, g)
+                verdict_cache[key] = verdict
+            if verdict == DominanceVerdict.INCOMPARABLE:
+                bad.append(f"{write_graph6(g)} shift ({u},{v}): incomparable")
+            elif verdict != DominanceVerdict.STRICTLY_DOMINATES:
+                # a shift that is not strict must be the exchange of the
+                # labels u and v, an explicit isomorphism
+                swap = list(range(n))
+                swap[u], swap[v] = v, u
+                if g.relabeled(swap) == shifted:
+                    exchanged += 1
+                else:
+                    bad.append(
+                        f"{write_graph6(g)} shift ({u},{v}): verdict "
+                        f"{verdict.value} on a shift that is not the label exchange"
+                    )
     return bad, checked, exchanged
 
 
@@ -633,42 +633,27 @@ def verify_dominance(n: int, threads: int = 1) -> VerificationReport:
     the exchange is reported even if it happens to be isomorphic.  Universe:
     every connected labeled graph of order n and every ordered vertex pair."""
     t0 = time.perf_counter()
-    if not 2 <= n <= 6:
-        raise ValueError("dominance sweep supports 2 <= n <= 6")
-    parts = _run_shards(_dominance_worker, n, threads)
-    bad = sorted(c for p in parts for c in p[0])
-    checked = sum(p[1] for p in parts)
-    exchanged = sum(p[2] for p in parts)
-    return VerificationReport(
-        claim="dominance",
-        universe=f"connected labeled graphs of order {n}, all ordered vertex pairs",
-        checked=checked,
-        counterexamples=tuple(bad),
-        witnesses=(f"n={n}: {checked} shifts checked, {exchanged} isomorphic by label exchange",),
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    _check_order("dominance", n)
+    bad, columns = _run_shards(_dominance_worker, n, threads)
+    checked, exchanged = map(sum, columns)
+    universe = f"connected labeled graphs of order {n}, all ordered vertex pairs"
+    witness = f"n={n}: {checked} shifts checked, {exchanged} isomorphic by label exchange"
+    return _report("dominance", universe, checked, bad, [witness], t0)
 
 
 # --------------------------------------------------------- skew identity
 
 
-def _orientation_report(claim: str, universe: str, worker, n: int, threads: int) -> VerificationReport:
+def _orientation_report(claim: str, universe: str, worker, n: int, threads: int):
     """Run an orientation sweep; its workers return (counterexamples,
     orientations covered, graphs, switching classes evaluated)."""
     t0 = time.perf_counter()
-    parts = _run_shards(worker, n, threads)
-    orientations, graphs, evaluated = (sum(p[i] for p in parts) for i in (1, 2, 3))
-    return VerificationReport(
-        claim=claim,
-        universe=universe,
-        checked=orientations,
-        counterexamples=tuple(sorted(c for p in parts for c in p[0])),
-        witnesses=(
-            f"n={n}: {graphs} graphs, {orientations} orientations covered, "
-            f"{evaluated} switching classes evaluated",
-        ),
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    _check_order(claim, n)
+    bad, columns = _run_shards(worker, n, threads)
+    orientations, graphs, evaluated = map(sum, columns)
+    witness = (f"n={n}: {graphs} graphs, {orientations} orientations covered, "
+               f"{evaluated} switching classes evaluated")
+    return _report(claim, universe, orientations, bad, [witness], t0)
 
 
 def _identity_worker(args: tuple[int, int, int]):
@@ -710,8 +695,6 @@ def verify_identity(n: int, threads: int = 1) -> VerificationReport:
     the unsigned matching-count polynomial: holds for every orientation of
     every odd-cycle graph of order n, and fails for at least one orientation
     of every other graph of order n."""
-    if not 1 <= n <= 6:
-        raise ValueError("identity sweep supports 1 <= n <= 6")
     universe = f"all labeled graphs of order {n}, both identity directions"
     return _orientation_report("identity", universe, _identity_worker, n, threads)
 
@@ -754,8 +737,6 @@ def _radius_worker(args: tuple[int, int, int]):
 def verify_radius(n: int, threads: int = 1) -> VerificationReport:
     """Skew spectral radius equals the maximum matching root for every
     orientation of every odd-cycle graph of order n, by exact comparison."""
-    if not 1 <= n <= 6:
-        raise ValueError("radius sweep supports 1 <= n <= 6")
     universe = f"all labeled odd-cycle graphs of order {n}, all orientations"
     return _orientation_report("radius", universe, _radius_worker, n, threads)
 
@@ -794,12 +775,9 @@ def verify_oracles(n: int, threads: int = 1) -> VerificationReport:
     stride of the universe; the other two checks stay exhaustive.
     """
     t0 = time.perf_counter()
-    if not 1 <= n <= 7:
-        raise ValueError("oracle sweep supports 1 <= n <= 7")
-    parts = _run_shards(_oracle_worker, n, threads)
-    bad = sorted(c for p in parts for c in p[0])
-    profile_checked = sum(p[1] for p in parts)
-    roundtrip_checked = sum(p[2] for p in parts)
+    _check_order("oracles", n)
+    bad, columns = _run_shards(_oracle_worker, n, threads)
+    profile_checked, roundtrip_checked = map(sum, columns)
 
     connected_counts: dict[int, int] = {}
     for g in labeled_odd_cycle_graphs(n, connected_only=True):
@@ -816,14 +794,8 @@ def verify_oracles(n: int, threads: int = 1) -> VerificationReport:
                 f"{by_m.get(m, 0)} from structured classes"
             )
     stride_note = "full" if n <= _ORACLE_FULL_MAX_N else f"1/{_ORACLE_STRIDE_N7} stride"
-    return VerificationReport(
-        claim="oracles",
-        universe=f"all labeled graphs of order {n} ({stride_note} profile check)",
-        checked=profile_checked + roundtrip_checked + cross_checked,
-        counterexamples=tuple(bad),
-        witnesses=(
-            f"n={n}: {profile_checked} profiles, {roundtrip_checked} round-trips, "
-            f"{cross_checked} census rows",
-        ),
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    universe = f"all labeled graphs of order {n} ({stride_note} profile check)"
+    witness = (f"n={n}: {profile_checked} profiles, {roundtrip_checked} round-trips, "
+               f"{cross_checked} census rows")
+    checked = profile_checked + roundtrip_checked + cross_checked
+    return _report("oracles", universe, checked, bad, [witness], t0)

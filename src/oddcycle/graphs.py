@@ -8,6 +8,7 @@ extraction and a refinement-plus-backtracking isomorphism test for small n.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 MAX_VERTICES = 64
@@ -59,9 +60,9 @@ class Graph:
 
     # ------------------------------------------------------------------ basics
 
-    @property
+    @functools.cached_property
     def m(self) -> int:
-        """Number of edges."""
+        """Number of edges, counted on first use."""
         return sum(row.bit_count() for row in self.adj) // 2
 
     def degree(self, v: int) -> int:

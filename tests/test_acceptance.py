@@ -36,12 +36,12 @@ from oddcycle import (
     verify_classification,
     verify_conjecture,
     verify_dominance,
-    verify_identity_sweep,
     verify_monotonicity,
     verify_radius,
     verify_reduction,
     write_graph6,
 )
+from oddcycle.extremal import verify_identity
 
 CORES = min(4, os.cpu_count() or 1)
 SCALE = 4 / CORES
@@ -107,7 +107,7 @@ def test_criterion_2_identity_sweep():
     merged = merge_reports(
         "identity",
         "orders 1..6",
-        [verify_identity_sweep(n, threads=CORES) for n in range(1, 7)],
+        [verify_identity(n, threads=CORES) for n in range(1, 7)],
     )
     if not merged.passed:
         problems.extend(merged.counterexamples[:3])

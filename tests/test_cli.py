@@ -1,13 +1,17 @@
 import io
 import json
+import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from oddcycle import cli
+from oddcycle import cli, extremal, verify_radius
 from oddcycle.cli import main, parse_graph_argument, run_verification
+from oddcycle.extremal import SUITE_ORDERS
 from oddcycle import ReductionInvariantError, cycle_graph, make_F, path_graph, star_graph
 
 
@@ -222,6 +226,63 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "error:" in err
     code, out, err = run(capsys, "verify", "classification", "--max-n", "1")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "suite,max_n,message",
+    [
+        ("dominance", 7, "suite dominance needs 2 <= --max-n <= 6"),
+        ("oracles", 8, "suite oracles needs 1 <= --max-n <= 7"),
+        ("3.7", 1, "suite dominance needs 2 <= --max-n <= 6"),
+    ],
+)
+def test_verify_rejects_max_n_before_any_order_runs(capsys, monkeypatch, suite, max_n, message):
+    def ran(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    for name in SUITE_ORDERS:
+        monkeypatch.setattr(cli, f"verify_{name}", ran)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", suite, "--max-n", str(max_n))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_default_max_n_comes_from_the_order_table(monkeypatch):
+    seen = []
+
+    def radius(n, threads):
+        seen.append(n)
+        return verify_radius(1)
+
+    monkeypatch.setattr(cli, "verify_radius", radius)
+    run_verification("radius", None)
+    lo, _, default = SUITE_ORDERS["radius"]
+    assert seen == list(range(lo, default + 1))
+
+
+@pytest.mark.parametrize("threads", [0, -1, (os.cpu_count() or 1) + 1])
+def test_verify_rejects_threads_outside_the_core_count(capsys, monkeypatch, threads):
+    def pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(extremal, "ProcessPoolExecutor", pool)
+    code, out, err = run(capsys, "verify", "identity", "--max-n", "3", "--threads", str(threads))
+    assert code == 2 and out == ""
+    assert err == f"error: --threads must be in 1..{os.cpu_count() or 1}\n"
+
+
+def test_readme_suite_table_matches_the_order_table():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Verification sweeps", 1)[1].split("\n## ", 1)[0]
+    header, *rows = (
+        [cell.strip() for cell in line.split("|")[1:-1]]
+        for line in section.splitlines()
+        if line.startswith("| ")
+    )
+    assert header[0] == "suite" and header[2:] == ["min n", "max n", "default"]
+    assert {row[0].strip("`"): tuple(map(int, row[2:])) for row in rows} == SUITE_ORDERS
 
 
 def test_internal_failure_exits_3(capsys, monkeypatch):

@@ -25,7 +25,6 @@ from oddcycle import (
     verify_classification,
     verify_conjecture,
     verify_dominance,
-    verify_identity_sweep,
     verify_monotonicity,
     verify_oracles,
     verify_radius,
@@ -33,8 +32,8 @@ from oddcycle import (
     write_graph6,
 )
 
-from oddcycle import extremal
-from oddcycle.extremal import _class_census, _odd_cycle_classes
+from oddcycle import extremal, reduce_to_F
+from oddcycle.extremal import _class_census, _odd_cycle_classes, verify_identity
 from oracles import has_even_cycle
 
 
@@ -69,6 +68,11 @@ def test_make_F_is_odd_cycle_graph():
             assert f.m == m
             assert is_connected(f)
             assert is_odd_cycle_graph(f)
+
+
+def test_make_F_at_m_equal_n_minus_1_is_the_star():
+    for n in range(2, 21):
+        assert make_F(n, n - 1) == star_graph(n - 1)
 
 
 def test_make_H():
@@ -289,6 +293,42 @@ def test_verify_reduction_small():
     assert rep.checked == 17
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_F_shape_test_agrees_with_isomorphism_on_all_labeled_graphs(n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    shapes = 0
+    for mask in range(1 << len(pairs)):
+        g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+        want = n - 1 <= g.m <= edge_cap(n) and is_isomorphic(g, make_F(n, g.m))
+        assert extremal._is_F(g, n, g.m) == want
+        assert not extremal._is_F(g, n, g.m + 1)
+        shapes += want
+    # each F(n, m), n - 1 <= m <= edge_cap(n), has n!/|Aut| labeled copies
+    assert shapes == sum(
+        math.factorial(n) // automorphism_count(make_F(n, m)) for m in range(n - 1, edge_cap(n) + 1)
+    )
+
+
+def test_reduction_reports_a_final_graph_that_is_not_F(monkeypatch):
+    # a reduction that stops one step short ends on a graph with a long odd
+    # cycle or without a vertex of degree n - 1: never F(n, m)
+    def short(g):
+        trace = reduce_to_F(g)
+        steps = trace.steps[:-1]
+        return dataclasses.replace(trace, steps=steps, final=steps[-1][1] if steps else g)
+
+    n = 5
+    want = sorted(
+        f"{write_graph6(g)}: final graph {write_graph6(short(g).final)} is not F({n},{g.m})"
+        for g in connected_odd_cycle_reps(n)
+        if reduce_to_F(g).steps
+    )
+    monkeypatch.setattr(extremal, "reduce_to_F", short)
+    rep = verify_reduction(n)
+    assert len(want) == 5
+    assert list(rep.counterexamples) == want
+
+
 def test_verify_dominance_small():
     # every shift that is not strict is the exchange of its two labels:
     # 4270 of them over n = 2..5
@@ -335,7 +375,7 @@ def test_dominance_reports_exactly_the_non_isomorphic_weak_shifts(monkeypatch):
 
 
 def test_verify_identity_small():
-    rep = verify_identity_sweep(4)
+    rep = verify_identity(4)
     assert rep.passed
     assert rep.claim == "identity"
 
@@ -351,7 +391,7 @@ def test_verify_radius_small():
 )
 def test_orientation_sweep_counts(max_n, identity, radius):
     # every orientation is covered although one per switching class is evaluated
-    idents = [verify_identity_sweep(n) for n in range(1, max_n + 1)]
+    idents = [verify_identity(n) for n in range(1, max_n + 1)]
     radii = [verify_radius(n) for n in range(1, max_n + 1)]
     assert all(r.passed for r in idents + radii)
     assert sum(r.checked for r in idents) == identity
@@ -366,7 +406,14 @@ def test_verify_oracles_small():
 
 
 def test_sharded_runs_match_single_thread():
-    for runner, n in [(verify_identity_sweep, 4), (verify_classification, 5), (verify_dominance, 4)]:
+    for runner, n in [
+        (verify_identity, 4),
+        (verify_classification, 5),
+        (verify_dominance, 4),
+        (verify_reduction, 6),
+        (verify_radius, 4),
+        (verify_oracles, 4),
+    ]:
         solo = runner(n, threads=1)
         duo = runner(n, threads=2)
         assert solo.checked == duo.checked

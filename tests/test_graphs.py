@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -65,6 +67,20 @@ def test_edge_list_is_lexicographic():
     assert g.m == 3
     assert g.degree(0) == 2
     assert g.max_degree() == 2
+
+
+@given(graphs())
+def test_edge_count_read_once_keeps_equality_hash_and_pickle(g):
+    fresh = Graph(g.n, g.adj)
+    assert g.m == sum(row.bit_count() for row in g.adj) // 2
+    assert "m" in vars(g)  # counted once, then read from the instance
+    assert g == fresh and fresh == g
+    assert hash(g) == hash(fresh)
+    assert len({g, fresh}) == 1
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == fresh and hash(copy) == hash(fresh)
+    assert copy.m == g.m
+    assert pickle.loads(pickle.dumps(fresh)).m == g.m
 
 
 def test_constructors():
