@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from types import MappingProxyType
 
 from .graphs import (
@@ -38,7 +38,14 @@ from .graphs import (
     star_graph,
     write_graph6,
 )
-from .kelmans import DominanceVerdict, KelmansPhase, dominance, kelmans_transform, reduce_to_F
+from .kelmans import (
+    DominanceVerdict,
+    KelmansPhase,
+    _is_star_plus_matching,
+    dominance,
+    kelmans_transform,
+    reduce_to_F,
+)
 from .matching import matching_polynomial, matching_profile, matching_profile_bruteforce, polynomial_from_profile
 from .polynomials import IntPolynomial
 from .roots import EQ, GT, AlgebraicRoot, compare_roots, max_real_root
@@ -516,14 +523,6 @@ def verify_monotonicity(n_max: int, threads: int = 1) -> VerificationReport:
 # -------------------------------------------------------------- reduction
 
 
-def _is_F(g: Graph, n: int, m: int) -> bool:
-    """g is isomorphic to F(n, m): one vertex is adjacent to all others, whose
-    edges among themselves form a matching.  (In an odd-cycle graph the first
-    part implies the second: two such edges at one vertex close a 4-cycle.)"""
-    degrees = sorted((row.bit_count() for row in g.adj), reverse=True)
-    return g.n == n and g.m == m and degrees[0] == n - 1 and all(d <= 2 for d in degrees[1:])
-
-
 def _reduction_worker(args: tuple[int, int, int]):
     n, shard, shards = args
     classes = connected_odd_cycle_reps(n)[shard::shards]
@@ -547,10 +546,10 @@ def _reduction_worker(args: tuple[int, int, int]):
                 bad.append(f"{g6}: intermediate graph {write_graph6(mid)} broke an invariant")
                 break
         target = make_F(n, m)
-        if not _is_F(trace.final, n, m):
+        if (trace.final.n, trace.final.m) != (n, m) or not _is_star_plus_matching(trace.final):
             bad.append(f"{g6}: final graph {write_graph6(trace.final)} is not F({n},{m})")
             continue
-        if _is_F(g, n, m):
+        if _is_star_plus_matching(g):
             if dominance(target, g) != DominanceVerdict.EQUAL_POLYNOMIALS:
                 bad.append(f"{g6}: expected equal polynomials against F({n},{m})")
         else:
@@ -599,30 +598,33 @@ def _dominance_worker(args: tuple[int, int, int]):
         if _component_mask(rows, 0, full) != full:
             continue
         g = Graph(n, tuple(rows))
-        for u, v in permutations(range(n), 2):
-            shifted, _ = kelmans_transform(g, u, v)
-            checked += 1
-            if shifted.adj == g.adj:
-                continue
-            key = (poly_of(shifted).coeffs, poly_of(g).coeffs)
-            verdict = verdict_cache.get(key)
-            if verdict is None:
-                verdict = dominance(shifted, g)
-                verdict_cache[key] = verdict
-            if verdict == DominanceVerdict.INCOMPARABLE:
-                bad.append(f"{write_graph6(g)} shift ({u},{v}): incomparable")
-            elif verdict != DominanceVerdict.STRICTLY_DOMINATES:
-                # a shift that is not strict must be the exchange of the
-                # labels u and v, an explicit isomorphism
-                swap = list(range(n))
-                swap[u], swap[v] = v, u
-                if g.relabeled(swap) == shifted:
-                    exchanged += 1
-                else:
-                    bad.append(
-                        f"{write_graph6(g)} shift ({u},{v}): verdict "
-                        f"{verdict.value} on a shift that is not the label exchange"
-                    )
+        for u in range(n):
+            for v in range(n):
+                if u == v:
+                    continue
+                shifted, _ = kelmans_transform(g, u, v)
+                checked += 1
+                if shifted.adj == g.adj:
+                    continue
+                key = (poly_of(shifted).coeffs, poly_of(g).coeffs)
+                verdict = verdict_cache.get(key)
+                if verdict is None:
+                    verdict = dominance(shifted, g)
+                    verdict_cache[key] = verdict
+                if verdict == DominanceVerdict.INCOMPARABLE:
+                    bad.append(f"{write_graph6(g)} shift ({u},{v}): incomparable")
+                elif verdict != DominanceVerdict.STRICTLY_DOMINATES:
+                    # a shift that is not strict must be the exchange of the
+                    # labels u and v, an explicit isomorphism
+                    swap = list(range(n))
+                    swap[u], swap[v] = v, u
+                    if g.relabeled(swap) == shifted:
+                        exchanged += 1
+                    else:
+                        bad.append(
+                            f"{write_graph6(g)} shift ({u},{v}): verdict "
+                            f"{verdict.value} on a shift that is not the label exchange"
+                        )
     return bad, checked, exchanged
 
 

@@ -7,6 +7,7 @@ import pytest
 from oddcycle import (
     DominanceVerdict,
     Graph,
+    ReductionTrace,
     VerificationReport,
     automorphism_count,
     connected_odd_cycle_reps,
@@ -34,6 +35,7 @@ from oddcycle import (
 
 from oddcycle import extremal, reduce_to_F
 from oddcycle.extremal import _class_census, _odd_cycle_classes, verify_identity
+from oddcycle.kelmans import _is_star_plus_matching
 from oracles import has_even_cycle
 
 
@@ -300,8 +302,7 @@ def test_F_shape_test_agrees_with_isomorphism_on_all_labeled_graphs(n):
     for mask in range(1 << len(pairs)):
         g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
         want = n - 1 <= g.m <= edge_cap(n) and is_isomorphic(g, make_F(n, g.m))
-        assert extremal._is_F(g, n, g.m) == want
-        assert not extremal._is_F(g, n, g.m + 1)
+        assert _is_star_plus_matching(g) == want
         shapes += want
     # each F(n, m), n - 1 <= m <= edge_cap(n), has n!/|Aut| labeled copies
     assert shapes == sum(
@@ -324,6 +325,26 @@ def test_reduction_reports_a_final_graph_that_is_not_F(monkeypatch):
         if reduce_to_F(g).steps
     )
     monkeypatch.setattr(extremal, "reduce_to_F", short)
+    rep = verify_reduction(n)
+    assert len(want) == 5
+    assert list(rep.counterexamples) == want
+
+
+def test_reduction_reports_a_final_graph_with_the_wrong_edge_count(monkeypatch):
+    # a trace that replays cleanly from the wrong start: the star has the
+    # shape of F(n, m) but only n - 1 edges
+    n = 5
+    star = star_graph(n - 1)
+
+    def to_star(g):
+        return ReductionTrace(start=star, steps=(), final=star)
+
+    want = sorted(
+        f"{write_graph6(g)}: final graph {write_graph6(star)} is not F({n},{g.m})"
+        for g in connected_odd_cycle_reps(n)
+        if g.m > n - 1
+    )
+    monkeypatch.setattr(extremal, "reduce_to_F", to_star)
     rep = verify_reduction(n)
     assert len(want) == 5
     assert list(rep.counterexamples) == want
