@@ -1,12 +1,16 @@
-"""Extremal families, enumeration of odd-cycle graphs, and verification sweeps.
+"""Extremal families, odd-cycle graphs by isomorphism class, and
+verification sweeps.
 
 F(n, m) is the star on vertex 0 plus a matching among its leaves; H_n is the
-edge-maximal member F(n, floor(3(n-1)/2)).  The sweeps here machine-check the
-classification of max-root maximizers, grid monotonicity of t(F(n, m)), the
-reduction to F, the dominance behaviour of the Kelmans shift, the orientation
-identity for skew characteristic polynomials, and the library's own oracles.
-Each sweep returns a VerificationReport; a nonempty counterexample list means
-the claim failed on this universe.
+edge-maximal member F(n, floor(3(n-1)/2)).  Connected odd-cycle classes are
+grown block by block, and the graphs of order n are built as multisets of
+them.  Labeled sweeps walk every edge mask of order n in one loop,
+_labeled_rows.  The sweeps here machine-check the classification of max-root
+maximizers, grid monotonicity of t(F(n, m)), the reduction to F, the
+dominance behaviour of the Kelmans shift, the orientation identity for skew
+characteristic polynomials, and the library's own oracles.  Each sweep
+returns a VerificationReport; a nonempty counterexample list means the claim
+failed on this universe.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from types import MappingProxyType
 
 from .graphs import (
@@ -51,7 +54,6 @@ from .polynomials import IntPolynomial
 from .roots import EQ, GT, AlgebraicRoot, compare_roots, max_real_root
 from .skew import Orientation, SwitchingClasses, _alternating_form, _identity_target, skew_char_poly
 
-LABELED_MAX_N = 9
 STRUCTURED_MAX_N = 11
 
 # suite -> (lowest order, highest order, CLI default for --max-n); for
@@ -102,21 +104,14 @@ def make_H(n: int) -> Graph:
 # -------------------------------------------------------------- enumeration
 
 
-def _pair_table(n: int) -> list[tuple[int, int, int, int, int]]:
-    """(u, v, bit_u, bit_v, subset_bit) per vertex pair, lexicographic."""
-    out = []
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            out.append((u, v, 1 << u, 1 << v, 1 << k))
-            k += 1
-    return out
-
-
 def _labeled_rows(n: int, shard: int, shards: int):
     """Yield (edge mask, adjacency rows) of every labeled graph of order n
-    whose mask is congruent to shard modulo shards."""
-    pairs = _pair_table(n)
+    whose mask is congruent to shard modulo shards.  Bit k of the mask is
+    the k-th vertex pair in lexicographic order."""
+    pairs = []  # (u, v, bit of u, bit of v, bit of the pair in the mask)
+    for u in range(n):
+        for v in range(u + 1, n):
+            pairs.append((u, v, 1 << u, 1 << v, 1 << len(pairs)))
     for mask in range(shard, 1 << len(pairs), shards):
         rows = [0] * n
         for u, v, bu, bv, bit in pairs:
@@ -124,30 +119,6 @@ def _labeled_rows(n: int, shard: int, shards: int):
                 rows[u] |= bv
                 rows[v] |= bu
         yield mask, rows
-
-
-def labeled_odd_cycle_graphs(n: int, connected_only: bool = False):
-    """Stream every labeled odd-cycle graph of order n.
-
-    Edge subsets are visited in size-then-lexicographic order; subsets above
-    the extremal size cap cannot qualify and are never generated.
-    """
-    if not 1 <= n <= LABELED_MAX_N:
-        raise GraphTooLargeError(f"labeled sweep limited to n <= {LABELED_MAX_N}")
-    pairs = _pair_table(n)
-    cap = min(edge_cap(n), len(pairs))
-    full = (1 << n) - 1
-    for m in range(cap + 1):
-        for combo in combinations(pairs, m):
-            rows = [0] * n
-            for u, v, bu, bv, _ in combo:
-                rows[u] |= bv
-                rows[v] |= bu
-            if not odd_cycle_rows(n, rows):
-                continue
-            if connected_only and _component_mask(rows, 0, full) != full:
-                continue
-            yield Graph(n, tuple(rows))
 
 
 @functools.cache
@@ -318,23 +289,6 @@ def _run_shards(worker, n: int, threads: int):
 # ------------------------------------------------------- profile census
 
 
-def _class_census(n: int) -> dict[int, dict[tuple[int, ...], list]]:
-    """{m: {profile: [labeled count, smallest class graph6]}} for m >= 1.
-
-    Each class counts its n!/|Aut| labeled copies, so the totals equal a
-    sweep over every labeled edge subset.
-    """
-    census: dict[int, dict[tuple[int, ...], list]] = {m: {} for m in range(1, edge_cap(n) + 1)}
-    for g, aut in _odd_cycle_classes(n):
-        if not g.m:
-            continue
-        g6 = write_graph6(g)
-        entry = census[g.m].setdefault(matching_profile(g).counts, [0, g6])
-        entry[0] += math.factorial(n) // aut
-        entry[1] = min(entry[1], g6)
-    return census
-
-
 def _profile_champions(n: int, groups: dict[tuple[int, ...], list]):
     """Exact max-root winners among profile groups: (root, [profiles])."""
     best_root: AlgebraicRoot | None = None
@@ -366,9 +320,21 @@ class _SizeCensus:
 @functools.cache
 def _order_census(n: int) -> Mapping[int, _SizeCensus]:
     """Read-only {m: _SizeCensus} for 1 <= m <= edge_cap(n), built once per
-    process and shared by the classification and conjecture sweeps."""
+    process and shared by the classification and conjecture sweeps.
+
+    Each class counts its n!/|Aut| labeled copies, so the totals equal a
+    sweep over every labeled edge subset.
+    """
+    census: dict[int, dict[tuple[int, ...], list]] = {m: {} for m in range(1, edge_cap(n) + 1)}
+    for g, aut in _odd_cycle_classes(n):
+        if not g.m:
+            continue
+        g6 = write_graph6(g)
+        entry = census[g.m].setdefault(matching_profile(g).counts, [0, g6])
+        entry[0] += math.factorial(n) // aut
+        entry[1] = min(entry[1], g6)
     out = {}
-    for m, groups in _class_census(n).items():
+    for m, groups in census.items():
         root, champs = _profile_champions(n, groups)
         frozen = MappingProxyType({prof: tuple(entry) for prof, entry in groups.items()})
         out[m] = _SizeCensus(frozen, root, tuple(champs))
@@ -753,9 +719,12 @@ _ORACLE_STRIDE_N7 = 64
 def _oracle_worker(args: tuple[int, int, int]):
     n, shard, shards = args
     stride = 1 if n <= _ORACLE_FULL_MAX_N else _ORACLE_STRIDE_N7
+    cap = edge_cap(n)
+    full = (1 << n) - 1
     bad: list[str] = []
     profile_checked = 0
     roundtrip_checked = 0
+    connected: Counter[int] = Counter()  # connected odd-cycle graphs by edge count
     for mask, rows in _labeled_rows(n, shard, shards):
         g = Graph(n, tuple(rows))
         roundtrip_checked += 1
@@ -765,35 +734,35 @@ def _oracle_worker(args: tuple[int, int, int]):
             profile_checked += 1
             if matching_profile(g).counts != matching_profile_bruteforce(g).counts:
                 bad.append(f"{write_graph6(g)}: matching profile disagrees with brute force")
-    return bad, profile_checked, roundtrip_checked
+        m = mask.bit_count()
+        if m <= cap and _component_mask(rows, 0, full) == full and odd_cycle_rows(n, rows):
+            connected[m] += 1
+    return bad, profile_checked, roundtrip_checked, connected
 
 
 def verify_oracles(n: int, threads: int = 1) -> VerificationReport:
     """Library self-checks on all labeled graphs of order n: matching profiles
     against the brute-force edge-subset count, graph6 round-trips, and the
-    labeled-versus-structured enumeration census.
+    labeled-versus-structured census of connected odd-cycle graphs, with the
+    labeled side counted in the same pass.
 
     At n = 7 the brute-force profile comparison runs on a deterministic
     stride of the universe; the other two checks stay exhaustive.
     """
     t0 = time.perf_counter()
     _check_order("oracles", n)
-    bad, columns = _run_shards(_oracle_worker, n, threads)
-    profile_checked, roundtrip_checked = map(sum, columns)
-
-    connected_counts: dict[int, int] = {}
-    for g in labeled_odd_cycle_graphs(n, connected_only=True):
-        connected_counts[g.m] = connected_counts.get(g.m, 0) + 1
-    by_m: dict[int, int] = {}
-    for g in connected_odd_cycle_reps(n):
-        by_m[g.m] = by_m.get(g.m, 0) + _labeled_copies(g)
-    cross_checked = 0
-    for m in range(edge_cap(n) + 1):
-        cross_checked += 1
-        if connected_counts.get(m, 0) != by_m.get(m, 0):
+    bad, (profiles, roundtrips, connected) = _run_shards(_oracle_worker, n, threads)
+    profile_checked, roundtrip_checked = sum(profiles), sum(roundtrips)
+    labeled = sum(connected, Counter())
+    structured: Counter[int] = Counter()
+    for g, aut in zip(connected_odd_cycle_reps(n), _connected_aut_counts(n)):
+        structured[g.m] += math.factorial(n) // aut
+    cross_checked = edge_cap(n) + 1
+    for m in range(cross_checked):
+        if labeled[m] != structured[m]:
             bad.append(
-                f"n={n} m={m}: labeled connected count {connected_counts.get(m, 0)} != "
-                f"{by_m.get(m, 0)} from structured classes"
+                f"n={n} m={m}: labeled connected count {labeled[m]} != "
+                f"{structured[m]} from structured classes"
             )
     stride_note = "full" if n <= _ORACLE_FULL_MAX_N else f"1/{_ORACLE_STRIDE_N7} stride"
     universe = f"all labeled graphs of order {n} ({stride_note} profile check)"

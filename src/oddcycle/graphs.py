@@ -76,6 +76,11 @@ class Graph:
 
     def edge_list(self) -> tuple[tuple[int, int], ...]:
         """All edges (u, v) with u < v, in lexicographic order."""
+        return self._edges
+
+    @functools.cached_property
+    def _edges(self) -> tuple[tuple[int, int], ...]:
+        """The edge list, built on first use like m."""
         out = []
         for u in range(self.n):
             row = self.adj[u] >> (u + 1)
@@ -228,12 +233,6 @@ def parse_graph6(text: str) -> Graph:
 # ---------------------------------------------------------------- edge lists
 
 
-def write_edge_list(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edge_list())
-    return "\n".join(lines) + "\n"
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the 'n <count>' header plus one 'u v' edge per line."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -278,18 +277,6 @@ def _component_mask(adj, start: int, within: int) -> int:
         comp |= grow
         frontier = grow
     return comp
-
-
-def connected_components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
-    """Components as (subgraph, original-labels) pairs, by smallest vertex."""
-    out = []
-    left = (1 << g.n) - 1
-    while left:
-        start = (left & -left).bit_length() - 1
-        comp = _component_mask(g.adj, start, left)
-        left ^= comp
-        out.append(g.induced(iter_bits(comp)))
-    return out
 
 
 def is_connected(g: Graph) -> bool:

@@ -192,11 +192,6 @@ def _identity_target(g: Graph) -> IntPolynomial:
     return polynomial_from_profile(matching_profile(g).counts, g.n, signed=False)
 
 
-def verify_identity(o: Orientation) -> bool:
-    """Check det(xI - S) against the unsigned matching-count polynomial."""
-    return skew_char_poly(o) == _identity_target(o.graph)
-
-
 def _alternating_form(phi: IntPolynomial, n: int) -> IntPolynomial:
     """Rewrite sum_k a_2k x^(n-2k) as sum_k (-1)^k a_2k x^(n-2k).
 

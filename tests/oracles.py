@@ -4,7 +4,8 @@ Everything here deliberately uses different machinery from the library:
 direct bit-string assembly for graph6, simple-path enumeration for even
 cycles, Laplace expansion for characteristic polynomials, frozenset
 bookkeeping for matching counts, numpy subset tests for the bulk matching
-census, and Fraction arithmetic for root bisection.  Slow is fine; these
+census, edge-subset combinations for the labeled odd-cycle enumeration, and
+Fraction arithmetic for root bisection.  Slow is fine; these
 exist to be obviously right.  The two identity checks at the end are the
 exception: they hold the library's own matching polynomials to the deletion
 and disjoint-union identities.
@@ -15,8 +16,19 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from oddcycle import Graph, IntPolynomial, NoRealRootError, disjoint_union, matching_polynomial
+from oddcycle import (
+    Graph,
+    GraphTooLargeError,
+    IntPolynomial,
+    NoRealRootError,
+    disjoint_union,
+    edge_cap,
+    matching_polynomial,
+)
+from oddcycle.graphs import _component_mask, odd_cycle_rows
 from oddcycle.roots import _sturm_chain
+
+LABELED_MAX_N = 9
 
 
 def graph6_reference(n: int, edges) -> str:
@@ -269,6 +281,30 @@ def bulk_matching_profiles(n: int):
                 em = np.uint32(sum(1 << e for e in combo))
                 counts[k] += (masks & em) == em
     return pairs, counts
+
+
+def labeled_odd_cycle_graphs(n: int, connected_only: bool = False):
+    """Stream every labeled odd-cycle graph of order n.
+
+    Edge subsets are visited in size-then-lexicographic order; subsets above
+    the extremal size cap cannot qualify and are never generated.
+    """
+    if not 1 <= n <= LABELED_MAX_N:
+        raise GraphTooLargeError(f"labeled sweep limited to n <= {LABELED_MAX_N}")
+    pairs = [(u, v, 1 << u, 1 << v) for u in range(n) for v in range(u + 1, n)]
+    cap = min(edge_cap(n), len(pairs))
+    full = (1 << n) - 1
+    for m in range(cap + 1):
+        for combo in combinations(pairs, m):
+            rows = [0] * n
+            for u, v, bu, bv in combo:
+                rows[u] |= bv
+                rows[v] |= bu
+            if not odd_cycle_rows(n, rows):
+                continue
+            if connected_only and _component_mask(rows, 0, full) != full:
+                continue
+            yield Graph(n, tuple(rows))
 
 
 def check_deletion_identity(g, edge: tuple[int, int]) -> bool:

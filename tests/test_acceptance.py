@@ -15,7 +15,7 @@ import re
 import time
 from fractions import Fraction
 
-from oracles import bulk_matching_profiles, graph6_reference
+from oracles import bulk_matching_profiles, graph6_reference, labeled_odd_cycle_graphs
 
 from oddcycle import (
     EQ,
@@ -26,7 +26,6 @@ from oddcycle import (
     complete_graph,
     connected_odd_cycle_reps,
     cycle_graph,
-    labeled_odd_cycle_graphs,
     matching_profile,
     max_matching_root,
     compare_roots,
@@ -36,12 +35,12 @@ from oddcycle import (
     verify_classification,
     verify_conjecture,
     verify_dominance,
+    verify_identity,
     verify_monotonicity,
     verify_radius,
     verify_reduction,
     write_graph6,
 )
-from oddcycle.extremal import verify_identity
 
 CORES = min(4, os.cpu_count() or 1)
 SCALE = 4 / CORES

@@ -321,6 +321,15 @@ def test_out_writes_file(capsys, tmp_path):
     assert blob["command"] == "poly"
 
 
+def test_out_into_a_missing_directory_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "poly", "Bw", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not path.parent.exists()
+
+
 def test_bad_graph6_exits_2(capsys):
     code, out, err = run(capsys, "poly", "B")
     assert code == 2 and "error:" in err

@@ -17,7 +17,6 @@ from oddcycle import (
     is_isomorphic,
     is_odd_cycle_graph,
     kelmans_transform,
-    labeled_odd_cycle_graphs,
     make_F,
     make_H,
     matching_profile,
@@ -26,6 +25,7 @@ from oddcycle import (
     verify_classification,
     verify_conjecture,
     verify_dominance,
+    verify_identity,
     verify_monotonicity,
     verify_oracles,
     verify_radius,
@@ -34,9 +34,9 @@ from oddcycle import (
 )
 
 from oddcycle import extremal, reduce_to_F
-from oddcycle.extremal import _class_census, _odd_cycle_classes, verify_identity
+from oddcycle.extremal import _odd_cycle_classes
 from oddcycle.kelmans import _is_star_plus_matching
-from oracles import has_even_cycle
+from oracles import has_even_cycle, labeled_odd_cycle_graphs
 
 
 def test_edge_cap_values():
@@ -163,8 +163,8 @@ def test_class_census_matches_labeled_sweep(n):
             prof = matching_profile(g).counts
             by_profile[prof] = by_profile.get(prof, 0) + 1
     got = {
-        m: {prof: entry[0] for prof, entry in groups.items()}
-        for m, groups in _class_census(n).items()
+        m: {prof: entry[0] for prof, entry in size.groups.items()}
+        for m, size in extremal._order_census(n).items()
     }
     assert got == want
 
@@ -396,6 +396,7 @@ def test_dominance_reports_exactly_the_non_isomorphic_weak_shifts(monkeypatch):
 
 
 def test_verify_identity_small():
+    assert verify_identity is extremal.verify_identity
     rep = verify_identity(4)
     assert rep.passed
     assert rep.claim == "identity"
@@ -424,6 +425,23 @@ def test_verify_oracles_small():
     rep = verify_oracles(4)
     assert rep.passed
     assert rep.claim == "oracles"
+    assert rep.witnesses == ("n=4: 64 profiles, 64 round-trips, 5 census rows",)
+    assert rep.checked == 64 + 64 + 5
+
+
+def test_verify_oracles_reports_a_wrong_structured_count(monkeypatch):
+    # |Aut| = 1 for every class claims n! labeled copies of each
+    n = 5
+    monkeypatch.setattr(
+        extremal, "_connected_aut_counts", lambda k: (1,) * len(connected_odd_cycle_reps(k))
+    )
+    rep = verify_oracles(n)
+    # the classes with edges sit at m = 4, 5, 6; the bowtie has |Aut| = 8
+    assert [c.split(":")[0] for c in rep.counterexamples] == ["n=5 m=4", "n=5 m=5", "n=5 m=6"]
+    assert all("labeled connected count" in c for c in rep.counterexamples)
+    assert rep.counterexamples[-1] == (
+        "n=5 m=6: labeled connected count 15 != 120 from structured classes"
+    )
 
 
 def test_sharded_runs_match_single_thread():

@@ -11,7 +11,6 @@ from oddcycle import (
     automorphism_count,
     block_decomposition,
     complete_graph,
-    connected_components,
     cycle_graph,
     disjoint_union,
     is_connected,
@@ -22,7 +21,6 @@ from oddcycle import (
     parse_graph6,
     path_graph,
     star_graph,
-    write_edge_list,
     write_graph6,
 )
 
@@ -81,6 +79,18 @@ def test_edge_count_read_once_keeps_equality_hash_and_pickle(g):
     assert copy == fresh and hash(copy) == hash(fresh)
     assert copy.m == g.m
     assert pickle.loads(pickle.dumps(fresh)).m == g.m
+
+
+@given(graphs())
+def test_edge_list_built_once_keeps_equality_hash_and_pickle(g):
+    fresh = Graph(g.n, g.adj)
+    edges = g.edge_list()
+    assert edges == tuple((u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v))
+    assert g.edge_list() is edges  # built once, then read from the instance
+    assert g == fresh and hash(g) == hash(fresh)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == fresh and hash(copy) == hash(fresh)
+    assert copy.edge_list() == edges
 
 
 def test_constructors():
@@ -179,7 +189,8 @@ def test_graph6_arbitrary_text_parses_or_raises_graph6_error(text):
 
 @given(graphs())
 def test_edge_list_roundtrip(g):
-    assert parse_edge_list(write_edge_list(g)) == g
+    text = "".join([f"n {g.n}\n", *(f"{u} {v}\n" for u, v in g.edge_list())])
+    assert parse_edge_list(text) == g
 
 
 def test_edge_list_errors():
@@ -204,9 +215,6 @@ def test_edge_list_errors():
 
 def test_components():
     g = disjoint_union([complete_graph(3), path_graph(2), Graph.empty(1)])
-    comps = connected_components(g)
-    assert [labels for _, labels in comps] == [(0, 1, 2), (3, 4), (5,)]
-    assert comps[0][0] == complete_graph(3)
     assert not is_connected(g)
     assert is_connected(BOWTIE)
     assert is_connected(Graph.empty(1))

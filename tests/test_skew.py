@@ -12,7 +12,6 @@ from oddcycle import (
     all_orientations,
     compare_roots,
     complete_graph,
-    connected_components,
     cycle_graph,
     is_odd_cycle_graph,
     matching_profile,
@@ -23,7 +22,7 @@ from oddcycle import (
     skew_char_poly,
     skew_spectral_radius,
 )
-from oddcycle import verify_identity as orientation_identity
+from oddcycle.skew import _identity_target
 
 from oracles import charpoly_reference
 
@@ -118,6 +117,25 @@ def test_switching_keeps_class_and_char_poly(o, vertices):
     assert skew_char_poly(switched).coeffs == want
 
 
+def _component_count(g: Graph) -> int:
+    """Connected components, one depth-first search per unvisited vertex."""
+    seen = 0
+    count = 0
+    for root in range(g.n):
+        if seen >> root & 1:
+            continue
+        count += 1
+        seen |= 1 << root
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w in range(g.n):
+                if g.has_edge(u, w) and not seen >> w & 1:
+                    seen |= 1 << w
+                    stack.append(w)
+    return count
+
+
 def test_switching_representatives_exhaustive():
     for n in range(1, 6):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -125,7 +143,7 @@ def test_switching_representatives_exhaustive():
             g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (emask >> i) & 1])
             classes = SwitchingClasses(g)
             reps = list(classes.representatives())
-            c = len(connected_components(g))
+            c = _component_count(g)
             assert len(set(reps)) == len(reps) == 1 << (g.m - n + c)
             # every mask maps to a representative reachable from it by switching
             base = Orientation(g, 0)
@@ -143,14 +161,14 @@ def test_identity_on_triangle():
     assert target.coeffs == (0, 3, 0, 1)
     for o in all_orientations(k3):
         assert skew_char_poly(o).coeffs == (0, 3, 0, 1)
-        assert orientation_identity(o)
+        assert skew_char_poly(o) == _identity_target(o.graph)
 
 
 def test_identity_on_five_cycle():
     c5 = cycle_graph(5)
     for o in all_orientations(c5):
         assert skew_char_poly(o).coeffs == (0, 5, 0, 5, 0, 1)
-        assert orientation_identity(o)
+        assert skew_char_poly(o) == _identity_target(o.graph)
 
 
 def test_identity_fails_on_even_cycle():
@@ -160,14 +178,14 @@ def test_identity_fails_on_even_cycle():
         phi = skew_char_poly(o)
         polys[phi.coeffs] = polys.get(phi.coeffs, 0) + 1
         # x^4 + 4x^2 + 2 is never attained, so every orientation violates
-        assert not orientation_identity(o)
+        assert skew_char_poly(o) != _identity_target(o.graph)
     assert polys == {(4, 0, 4, 0, 1): 8, (0, 0, 4, 0, 1): 8}
 
 
 def test_identity_on_bowtie_and_path():
     for g in (BOWTIE, path_graph(4), path_graph(1)):
         for o in all_orientations(g):
-            assert orientation_identity(o)
+            assert skew_char_poly(o) == _identity_target(o.graph)
 
 
 def test_spectral_radius_examples():
