@@ -73,13 +73,17 @@ def _graph_from_spec(tokens: list[str]) -> Graph:
 
 
 def parse_graph_argument(text: str) -> Graph:
-    """One graph from a CLI token: constructor spec, @file, or graph6."""
+    """One graph from a CLI token: constructor spec, @file, or graph6.
+
+    ``@`` alone is the graph6 string of K1; only ``@`` followed by a path
+    names an edge-list file.
+    """
     tokens = text.replace(",", " ").split()
     if len(tokens) > 1:
         return _graph_from_spec(tokens)
     if not tokens:
         raise UsageError("empty graph argument")
-    if text.startswith("@"):
+    if text.startswith("@") and text != "@":
         path = Path(text[1:])
         if not path.exists():
             raise UsageError(f"edge list file {path} not found")

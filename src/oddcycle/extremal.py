@@ -22,7 +22,6 @@ from collections import Counter
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 
 from .graphs import (
@@ -68,8 +67,6 @@ SUITE_ORDERS = {
     "radius": (1, 6, 5),
     "oracles": (1, 7, 5),
 }
-
-_SWEEP_EPS = Fraction(1, 2**16)
 
 
 def edge_cap(n: int) -> int:
@@ -294,7 +291,7 @@ def _profile_champions(n: int, groups: dict[tuple[int, ...], list]):
     best_root: AlgebraicRoot | None = None
     best: list[tuple[int, ...]] = []
     for prof in sorted(groups):
-        root = max_real_root(polynomial_from_profile(prof, n), eps=_SWEEP_EPS)
+        root = max_real_root(polynomial_from_profile(prof, n))
         if best_root is None:
             best_root, best = root, [prof]
             continue
@@ -462,7 +459,7 @@ def verify_monotonicity(n_max: int, threads: int = 1) -> VerificationReport:
     def root_of(n: int, m: int) -> AlgebraicRoot:
         got = roots.get((n, m))
         if got is None:
-            got = max_real_root(matching_polynomial(make_F(n, m)), eps=_SWEEP_EPS)
+            got = max_real_root(matching_polynomial(make_F(n, m)))
             roots[(n, m)] = got
         return got
 
@@ -523,9 +520,9 @@ def _reduction_worker(args: tuple[int, int, int]):
                 bad.append(f"{g6}: F({n},{m}) does not strictly dominate")
             tr = target_roots.get(m)
             if tr is None:
-                tr = max_real_root(matching_polynomial(target), eps=_SWEEP_EPS)
+                tr = max_real_root(matching_polynomial(target))
                 target_roots[m] = tr
-            if compare_roots(tr, max_real_root(matching_polynomial(g), eps=_SWEEP_EPS)) != GT:
+            if compare_roots(tr, max_real_root(matching_polynomial(g))) != GT:
                 bad.append(f"{g6}: t(F({n},{m})) is not strictly larger")
     return bad, len(classes), max_steps
 
@@ -689,9 +686,9 @@ def _radius_worker(args: tuple[int, int, int]):
             key = (phi.coeffs, mpoly.coeffs)
             agree = agree_cache.get(key)
             if agree is None:
-                rho = max_real_root(_alternating_form(phi, n), eps=_SWEEP_EPS)
+                rho = max_real_root(_alternating_form(phi, n))
                 if match_root is None:
-                    match_root = max_real_root(mpoly, eps=_SWEEP_EPS)
+                    match_root = max_real_root(mpoly)
                 agree = compare_roots(rho, match_root) == EQ
                 agree_cache[key] = agree
             if not agree:

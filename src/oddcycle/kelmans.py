@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graphs import Graph, is_connected, is_odd_cycle_graph, iter_bits, long_odd_cycles, write_graph6
 from .matching import matching_polynomial
-from .roots import count_roots_above, max_real_root
+from .roots import count_roots_above, count_roots_from, max_real_root
 from .polynomials import IntPolynomial
 
 
@@ -226,20 +225,19 @@ def reduce_to_F(g: Graph) -> ReductionTrace:
 
     if not _is_star_plus_matching(cur):
         raise ReductionInvariantError("reduction finished on a non-extremal shape")
-    return ReductionTrace(start=g, steps=tuple(steps), final=cur)
-
-
-_T_EPS = Fraction(1, 2**16)
+    return ReductionTrace(g, tuple(steps), cur)
 
 
 def dominance(g1: Graph, g2: Graph) -> DominanceVerdict:
     """Classify the sign of d = m(G2, x) - m(G1, x) for x >= t(G1).
 
     The decision is exact.  A negative leading coefficient settles the far
-    end of the ray at once.  Otherwise any odd-multiplicity root of d past
-    t(G1) forces a sign change there, while even-multiplicity roots only
-    flatten d to zero momentarily; Sturm counts past an isolated t(G1)
-    separate the strict from the weak case.
+    end of the ray at once.  With a positive one, d > 0 on the whole ray
+    exactly when d has no root at or past t(G1), and that one count decides
+    the strict case.  Otherwise any odd-multiplicity root of d past t(G1)
+    forces a sign change there, while even-multiplicity roots, and a root at
+    t(G1) itself, only touch zero; a Sturm count of the odd part of d past
+    the isolated t(G1) separates the incomparable from the weak case.
     """
     if g1.n != g2.n:
         raise ValueError("graphs must have the same vertex count")
@@ -251,13 +249,13 @@ def dominance(g1: Graph, g2: Graph) -> DominanceVerdict:
     if d.leading < 0:
         return DominanceVerdict.INCOMPARABLE
 
-    t1 = max_real_root(p1, eps=_T_EPS)
+    t1 = max_real_root(p1)
+    if count_roots_from(d, t1) == 0:
+        return DominanceVerdict.STRICTLY_DOMINATES
     odd_part = IntPolynomial.one()
     for factor, mult in d.squarefree_decomposition():
         if mult % 2 == 1:
             odd_part = odd_part * factor
     if count_roots_above(odd_part, t1) > 0:
         return DominanceVerdict.INCOMPARABLE
-
-    touches = t1.sign_of(d) == 0 or count_roots_above(d, t1) > 0
-    return DominanceVerdict.WEAKLY_DOMINATES if touches else DominanceVerdict.STRICTLY_DOMINATES
+    return DominanceVerdict.WEAKLY_DOMINATES

@@ -11,6 +11,12 @@ once, when a loop ends.  Comparisons certify with Sturm counts and settle
 ties through polynomial GCDs, so no verdict ever rests on floating point.
 The chains use pseudo-remainders with sign tracking to stay in integer
 arithmetic.
+
+This module alone decides how narrow an interval is.  ``max_real_root``
+hands out its root refined to width 2^-16, and every question asked of a
+root (its sign under a polynomial, its order against a rational or another
+root, the roots of a polynomial above it, its decimal digits) refines
+further on its own, as far as that question needs.
 """
 
 from __future__ import annotations
@@ -24,7 +30,11 @@ from .graphs import Graph
 from .matching import matching_polynomial
 from .polynomials import IntPolynomial
 
-EPS_DEFAULT = Fraction(1, 2**40)
+# Width of the interval max_real_root hands out.  Handing out the bare
+# isolating interval instead made the census slower, most likely because a
+# root compared against many others (the census's running best root) then
+# has its interval halved again in every comparison.
+_WIDTH = Fraction(1, 2**16)
 
 LT, EQ, GT = -1, 0, 1
 
@@ -69,23 +79,6 @@ def _count_roots(chain, lo: Fraction, hi: Fraction | None) -> int:
     """Distinct real roots in (lo, hi]; hi=None means +infinity."""
     num, den = (1, 0) if hi is None else (hi.numerator, hi.denominator)
     return _variations(chain, lo.numerator, lo.denominator) - _variations(chain, num, den)
-
-
-def sturm_root_count(p: IntPolynomial, lo: Fraction | int, hi: Fraction | int) -> int:
-    """Number of distinct real roots of p in (lo, hi).
-
-    Requires p nonzero and nonvanishing at both endpoints (perturb the
-    endpoints before calling otherwise).
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    if lo >= hi:
-        raise ValueError("empty interval")
-    if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
-        raise ValueError("interval endpoint is a root; perturb it")
-    return _count_roots(_sturm_chain(p.coeffs), lo, hi)
 
 
 def _nearest_int(f: Fraction) -> int:
@@ -151,33 +144,37 @@ class AlgebraicRoot:
     def halved(self) -> AlgebraicRoot:
         return self.refined(self.width / 2)
 
+    def _apart_from(self, q: IntPolynomial) -> tuple[bool, AlgebraicRoot]:
+        """Whether this number is a root of q, and an interval for it whose
+        closure holds no other root of q (q nonzero).
+
+        The GCD with the defining polynomial settles the first part exactly;
+        the interval is then halved until q vanishes at neither end and its
+        Sturm count inside is 1 for a shared root and 0 otherwise.
+        """
+        g = self.poly.gcd(q)
+        on_root = g.degree >= 1 and _count_roots(_sturm_chain(g.coeffs), self.lo, self.hi) >= 1
+        chain = _sturm_chain(q.coeffs)
+        r = self
+        while (
+            q.sign_at(r.lo) == 0
+            or q.sign_at(r.hi) == 0
+            or _count_roots(chain, r.lo, r.hi) != on_root
+        ):
+            r = r.halved()
+        return on_root, r
+
     def sign_of(self, q: IntPolynomial) -> int:
         """Exact sign of q evaluated at this algebraic number."""
         if q.is_zero():
             return 0
-        g = self.poly.gcd(q)
-        if g.degree >= 1 and _count_roots(_sturm_chain(g.coeffs), self.lo, self.hi) >= 1:
-            return 0
-        qchain = _sturm_chain(q.coeffs)
-        r = self
-        while True:
-            slo, shi = q.sign_at(r.lo), q.sign_at(r.hi)
-            if slo != 0 and slo == shi and _count_roots(qchain, r.lo, r.hi) == 0:
-                return slo
-            r = r.halved()
+        on_root, r = self._apart_from(q)
+        return 0 if on_root else q.sign_at(r.lo)
 
     def compare_to_rational(self, value: Fraction | int) -> int:
         """-1, 0 or +1 as the root is below, equal to, or above value."""
         value = Fraction(value)
-        r = self
-        while True:
-            if value <= r.lo:
-                return GT
-            if value >= r.hi:
-                return LT
-            if r.poly.sign_at(value) == 0:
-                return EQ
-            r = r.halved()
+        return self.sign_of(IntPolynomial.from_coeffs([-value.numerator, value.denominator]))
 
     def to_float(self) -> float:
         r = self.refined(Fraction(1, 2**60))
@@ -211,8 +208,12 @@ class AlgebraicRoot:
         return ("-" if q < 0 else "") + head + ("." + tail if tail else "")
 
 
-def max_real_root(p: IntPolynomial, eps: Fraction | float = EPS_DEFAULT) -> AlgebraicRoot:
-    """Isolate the largest real root of p down to interval width <= eps."""
+def max_real_root(p: IntPolynomial) -> AlgebraicRoot:
+    """The largest real root of p, its isolating interval refined to width 2^-16.
+
+    Callers that need a narrower interval ask for it with ``refined``; the
+    root's own questions refine as far as they need.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
     sf = p.squarefree_part()
@@ -233,36 +234,33 @@ def max_real_root(p: IntPolynomial, eps: Fraction | float = EPS_DEFAULT) -> Alge
             a, v_lo = c, v_c
         else:
             b, v_hi = c, v_c
-    return AlgebraicRoot(sf, Fraction(a, d), Fraction(b, d)).refined(eps)
+    return AlgebraicRoot(sf, Fraction(a, d), Fraction(b, d)).refined(_WIDTH)
 
 
-def max_matching_root(g: Graph, eps: Fraction | float = EPS_DEFAULT) -> AlgebraicRoot:
+def max_matching_root(g: Graph) -> AlgebraicRoot:
     """Largest root of the matching polynomial (0 for edgeless graphs)."""
-    return max_real_root(matching_polynomial(g), eps)
+    return max_real_root(matching_polynomial(g))
 
 
 def count_roots_above(p: IntPolynomial, root: AlgebraicRoot) -> int:
     """Number of distinct real roots of p strictly greater than ``root``.
 
-    Refines the isolating interval until p has no roots inside it other than
+    Refines the interval until its closure holds no root of p other than
     (possibly) the algebraic number itself, then counts past the upper end.
     """
     if p.degree < 1:
         return 0
-    chain = _sturm_chain(p.coeffs)
-    g = root.poly.gcd(p)
-    alpha_is_root = g.degree >= 1 and _count_roots(_sturm_chain(g.coeffs), root.lo, root.hi) >= 1
-    want = 1 if alpha_is_root else 0
-    r = root
-    while True:
-        if (
-            p.sign_at(r.lo) != 0
-            and p.sign_at(r.hi) != 0
-            and _count_roots(chain, r.lo, r.hi) == want
-        ):
-            break
-        r = r.halved()
-    return _count_roots(chain, r.hi, None)
+    _, r = root._apart_from(p)
+    return _count_roots(_sturm_chain(p.coeffs), r.hi, None)
+
+
+def count_roots_from(p: IntPolynomial, root: AlgebraicRoot) -> int:
+    """Number of distinct real roots of p in [root, +infinity): those of
+    ``count_roots_above`` plus ``root`` itself when p vanishes there."""
+    if p.degree < 1:
+        return 0
+    on_root, r = root._apart_from(p)
+    return on_root + _count_roots(_sturm_chain(p.coeffs), r.hi, None)
 
 
 def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:

@@ -14,12 +14,11 @@ per class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graphs import Graph, GraphTooLargeError, iter_bits
 from .matching import matching_profile, polynomial_from_profile
 from .polynomials import IntPolynomial
-from .roots import EPS_DEFAULT, GT, AlgebraicRoot, compare_roots, max_real_root
+from .roots import GT, AlgebraicRoot, compare_roots, max_real_root
 
 CHAR_POLY_MAX_N = 24
 ORIENTATION_SWEEP_MAX_M = 24
@@ -212,13 +211,13 @@ def _alternating_form(phi: IntPolynomial, n: int) -> IntPolynomial:
     return IntPolynomial.from_coeffs(out)
 
 
-def skew_spectral_radius(o: Orientation, eps: Fraction | float = EPS_DEFAULT) -> AlgebraicRoot:
+def skew_spectral_radius(o: Orientation) -> AlgebraicRoot:
     """Spectral radius of the skew matrix as an exact algebraic number."""
     phi = skew_char_poly(o)
-    return max_real_root(_alternating_form(phi, o.graph.n), eps)
+    return max_real_root(_alternating_form(phi, o.graph.n))
 
 
-def max_skew_spectral_radius(g: Graph, eps: Fraction | float = EPS_DEFAULT) -> AlgebraicRoot:
+def max_skew_spectral_radius(g: Graph) -> AlgebraicRoot:
     """Maximum of skew_spectral_radius over all orientations of g.
 
     One orientation per switching class is evaluated; the others share its
@@ -233,7 +232,7 @@ def max_skew_spectral_radius(g: Graph, eps: Fraction | float = EPS_DEFAULT) -> A
         if phi.coeffs in seen:
             continue
         seen.add(phi.coeffs)
-        rho = max_real_root(_alternating_form(phi, g.n), eps)
+        rho = max_real_root(_alternating_form(phi, g.n))
         if best is None or compare_roots(rho, best) == GT:
             best = rho
     assert best is not None

@@ -5,8 +5,8 @@ direct bit-string assembly for graph6, simple-path enumeration for even
 cycles, Laplace expansion for characteristic polynomials, frozenset
 bookkeeping for matching counts, numpy subset tests for the bulk matching
 census, edge-subset combinations for the labeled odd-cycle enumeration, and
-Fraction arithmetic for root bisection.  Slow is fine; these
-exist to be obviously right.  The two identity checks at the end are the
+Fraction arithmetic for root bisection, Sturm counts and dominance.  Slow
+is fine; these exist to be obviously right.  The two identity checks at the end are the
 exception: they hold the library's own matching polynomials to the deletion
 and disjoint-union identities.
 """
@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from oddcycle import (
+    DominanceVerdict,
     Graph,
     GraphTooLargeError,
     IntPolynomial,
@@ -252,6 +254,74 @@ def max_real_root_reference(p: IntPolynomial, eps: Fraction) -> tuple[Fraction, 
         else:
             hi, v_hi = mid, v_mid
     return refined_reference(sf, lo, hi, eps)
+
+
+def sturm_root_count(p: IntPolynomial, lo: Fraction | int, hi: Fraction | int) -> int:
+    """Number of distinct real roots of p in (lo, hi), by Sturm variations
+    evaluated in Fraction arithmetic.
+
+    Requires p nonzero and nonvanishing at both endpoints.
+    """
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    lo = Fraction(lo)
+    hi = Fraction(hi)
+    if lo >= hi:
+        raise ValueError("empty interval")
+    if _sign(p, lo) == 0 or _sign(p, hi) == 0:
+        raise ValueError("interval endpoint is a root; perturb it")
+    chain = _sturm_chain(p.coeffs)
+    return _variations_reference(chain, lo) - _variations_reference(chain, hi)
+
+
+def _roots_past_reference(
+    sf: IntPolynomial, lo: Fraction, hi: Fraction, q: IntPolynomial
+) -> tuple[bool, int]:
+    """For the one root alpha of the squarefree sf inside (lo, hi): whether
+    q(alpha) = 0, and the number of distinct roots of q above alpha.
+
+    alpha is a root of q exactly when the monic Fraction GCD of sf and q has
+    a root in (lo, hi).  The bracket is then halved with refined_reference
+    until q vanishes at neither end and keeps only alpha, if anything, inside.
+    """
+    g = gcd_reference(sf.coeffs, q.coeffs)
+    scale = lcm(*(c.denominator for c in g))
+    g_int = IntPolynomial.from_coeffs([int(c * scale) for c in g])
+    on_root = g_int.degree >= 1 and sturm_root_count(g_int, lo, hi) >= 1
+    while _sign(q, lo) == 0 or _sign(q, hi) == 0 or sturm_root_count(q, lo, hi) != on_root:
+        lo, hi = refined_reference(sf, lo, hi, (hi - lo) / 2)
+    chain = _sturm_chain(q.coeffs)
+    return on_root, _variations_reference(chain, hi) - _variations_reference(chain, None)
+
+
+def dominance_reference(g1: Graph, g2: Graph) -> DominanceVerdict:
+    """Sign of d = m(G2, x) - m(G1, x) on x >= t(G1), asked as three
+    questions in a fixed order.
+
+    A negative leading coefficient is incomparable.  Otherwise a root of the
+    odd part of d (the product of its odd-multiplicity squarefree factors)
+    above t(G1) is a sign change, so incomparable; failing that, d touching
+    zero at or above t(G1) is weak, and anything else strict.  Every root
+    question is answered on the Fraction bracket of max_real_root_reference.
+    """
+    p1 = matching_polynomial(g1)
+    d = matching_polynomial(g2) - p1
+    if d.is_zero():
+        return DominanceVerdict.EQUAL_POLYNOMIALS
+    if d.leading < 0:
+        return DominanceVerdict.INCOMPARABLE
+    sf = p1.squarefree_part()
+    lo, hi = max_real_root_reference(p1, Fraction(1, 2**16))
+    odd_part = IntPolynomial.one()
+    for factor, mult in d.squarefree_decomposition():
+        if mult % 2 == 1:
+            odd_part = odd_part * factor
+    if _roots_past_reference(sf, lo, hi, odd_part)[1] > 0:
+        return DominanceVerdict.INCOMPARABLE
+    on_root, above = _roots_past_reference(sf, lo, hi, d)
+    if on_root or above > 0:
+        return DominanceVerdict.WEAKLY_DOMINATES
+    return DominanceVerdict.STRICTLY_DOMINATES
 
 
 def bulk_matching_profiles(n: int):

@@ -88,6 +88,18 @@ def test_poly_empty_stdin_fails(capsys, monkeypatch):
     assert "error:" in err
 
 
+def test_poly_reads_back_k1_and_still_rejects_missing_edge_lists(capsys, monkeypatch, tmp_path):
+    # "@" alone is the graph6 string of K1, as `poly "P 1"` prints it
+    code, blob, _ = run_json(capsys, "poly", "@")
+    assert code == 0
+    (entry,) = blob["results"]
+    assert entry["graph6"] == "@" and entry["profile"] == [1]
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "poly", "@missing.txt")
+    assert code == 2
+    assert "error:" in err
+
+
 # ----------------------------------------------------------------- maxroot
 
 

@@ -1,4 +1,6 @@
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 from oddcycle import (
     EQ,
     LT,
+    AlgebraicRoot,
     DominanceVerdict,
     Graph,
+    IntPolynomial,
     KelmansPhase,
     ReductionInvariantError,
     ReductionTrace,
@@ -29,6 +33,9 @@ from oddcycle import (
     star_graph,
     write_graph6,
 )
+from oddcycle.extremal import _odd_cycle_classes
+
+from oracles import dominance_reference
 
 EQUAL = DominanceVerdict.EQUAL_POLYNOMIALS
 STRICT = DominanceVerdict.STRICTLY_DOMINATES
@@ -229,6 +236,53 @@ def test_dominance_incomparable_by_crossing():
 def test_dominance_rejects_mixed_orders():
     with pytest.raises(ValueError):
         dominance(path_graph(3), path_graph(4))
+
+
+def _labeled_graphs(n: int) -> list[Graph]:
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return [
+        Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+        for mask in range(1 << len(pairs))
+    ]
+
+
+@pytest.mark.parametrize(
+    "universe, counts",
+    [
+        # all 64 labeled graphs of order 4
+        (lambda: _labeled_graphs(4), (1736, 18, 1754, 588)),
+        # the 42 odd-cycle classes of order 6
+        (lambda: [g for g, _ in _odd_cycle_classes(6)], (767, 30, 903, 64)),
+    ],
+    ids=["labeled-4", "classes-6"],
+)
+def test_dominance_matches_the_fraction_oracle_on_every_small_pair(universe, counts, monkeypatch):
+    members = universe()
+    pairs = [(g1, g2) for g1 in members for g2 in members]
+    want = [dominance_reference(g1, g2) for g1, g2 in pairs]
+    tally = Counter(want)
+    assert tuple(tally[v] for v in (STRICT, WEAK, INCOMPARABLE, EQUAL)) == counts
+    assert [dominance(g1, g2) for g1, g2 in pairs] == want
+
+    # a strict pair is settled by at most one root count (none when d is a
+    # positive constant), without the odd part of d
+    def unreachable(self):
+        raise AssertionError("squarefree_decomposition reached on a strict pair")
+
+    apart_from = AlgebraicRoot._apart_from
+    calls = []
+
+    def counting(self, q):
+        calls.append(q)
+        return apart_from(self, q)
+
+    monkeypatch.setattr(IntPolynomial, "squarefree_decomposition", unreachable)
+    monkeypatch.setattr(AlgebraicRoot, "_apart_from", counting)
+    for (g1, g2), verdict in zip(pairs, want):
+        if verdict is STRICT:
+            calls.clear()
+            assert dominance(g1, g2) is STRICT
+            assert len(calls) <= 1
 
 
 @given(graphs(min_n=2, max_n=6), st.integers(1, 10**6))

@@ -15,14 +15,14 @@ from oddcycle import (
     compare_roots,
     complete_graph,
     count_roots_above,
+    count_roots_from,
     cycle_graph,
     max_matching_root,
     max_real_root,
     path_graph,
-    sturm_root_count,
 )
 
-from oracles import max_real_root_reference, refined_reference
+from oracles import max_real_root_reference, refined_reference, sturm_root_count
 
 
 def from_roots(roots) -> IntPolynomial:
@@ -44,7 +44,8 @@ def algebraic_poly(roots, k) -> IntPolynomial:
 root_lists = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
 algebraic_polys = st.builds(algebraic_poly, root_lists, st.integers(1, 30))
 random_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=9).map(IntPolynomial.from_coeffs)
-# dyadic and non-dyadic widths, down to the default
+# dyadic and non-dyadic widths, on both sides of the 2^-16 that max_real_root hands out
+WIDTH = Fraction(1, 2**16)
 widths = st.sampled_from(
     [Fraction(1, 2**40), Fraction(1, 2**16), Fraction(1, 3), Fraction(7, 10**9), Fraction(5, 2)]
 )
@@ -86,7 +87,7 @@ def test_max_real_root_errors():
 
 
 def test_refinement_keeps_the_root():
-    root = max_real_root(X2_MINUS_2, eps=Fraction(1, 4))
+    root = max_real_root(X2_MINUS_2)
     tight = root.refined(Fraction(1, 10**12))
     assert tight.width <= Fraction(1, 10**12)
     # the interval still brackets the sign change of x^2 - 2
@@ -159,7 +160,7 @@ def test_compare_roots_matches_integer_order(r1, r2):
 
 @given(algebraic_polys, algebraic_polys, algebraic_polys)
 def test_compare_roots_is_antisymmetric_and_transitive(p1, p2, p3):
-    rs = [max_real_root(p, eps=4) for p in (p1, p2, p3)]
+    rs = [max_real_root(p) for p in (p1, p2, p3)]
     c = {(i, j): compare_roots(rs[i], rs[j]) for i in range(3) for j in range(3)}
     for i in range(3):
         assert c[i, i] == EQ
@@ -172,8 +173,9 @@ def test_compare_roots_is_antisymmetric_and_transitive(p1, p2, p3):
 
 @given(algebraic_polys, st.integers(1, 10**6))
 def test_refined_interval_keeps_one_sign_change(p, denominator):
-    eps = Fraction(1, denominator)
-    root = max_real_root(p, eps=4)
+    # below the width max_real_root hands out, so refining has work to do
+    eps = WIDTH / denominator
+    root = max_real_root(p)
     tight = root.refined(eps)
     assert tight.width <= eps
     assert root.lo <= tight.lo < tight.hi <= root.hi
@@ -184,13 +186,16 @@ def test_refined_interval_keeps_one_sign_change(p, denominator):
 @given(random_polys | algebraic_polys, widths)
 def test_bisection_matches_fraction_oracle(p, eps):
     try:
-        want = max_real_root_reference(p, eps)
+        want = max_real_root_reference(p, WIDTH)
     except ValueError as exc:
         with pytest.raises(type(exc)):
-            max_real_root(p, eps)
+            max_real_root(p)
         return
-    got = max_real_root(p, eps)
+    got = max_real_root(p)
     assert (got.lo, got.hi) == want
+    if eps < WIDTH:
+        tight = got.refined(eps)
+        assert (tight.lo, tight.hi) == refined_reference(got.poly, *want, eps)
     # a bracket with thirds for ends, isolating the root nearest zero
     sf = p.squarefree_part()
     for k in range(1, 64):
@@ -201,16 +206,40 @@ def test_bisection_matches_fraction_oracle(p, eps):
             break
 
 
+def fraction_order(rs, k: int, v: Fraction) -> int:
+    """Order of max(max(rs), sqrt(k)) against v, in Fraction arithmetic."""
+    if max(rs) > v or v < 0 or v * v < k:
+        return GT
+    return EQ if v == max(rs) or v * v == k else LT
+
+
+@given(st.lists(st.fractions(-6, 6, max_denominator=6), min_size=1, max_size=4), st.integers(0, 30))
+def test_rational_comparisons_match_fraction_arithmetic(rs, k):
+    # rational roots num/den from den x - num, and sqrt(k) from x^2 - k
+    p = IntPolynomial.from_coeffs([-k, 0, 1])
+    for r in rs:
+        p = p * IntPolynomial.from_coeffs([-r.numerator, r.denominator])
+    root = max_real_root(p)
+    for v in [root.lo, root.hi, (root.lo + root.hi) / 2, *rs]:
+        want = fraction_order(rs, k, v)
+        assert root.compare_to_rational(v) == want
+        assert root.sign_of(IntPolynomial.from_coeffs([-v.numerator, v.denominator])) == want
+
+
 def test_count_roots_above():
     sqrt2 = max_real_root(X2_MINUS_2)
     p = from_roots([1, 2, 3])
-    assert count_roots_above(p, sqrt2) == 2
+    assert count_roots_above(p, sqrt2) == count_roots_from(p, sqrt2) == 2
     two = max_real_root(from_roots([2]))
-    # strictly above: the root itself is excluded even when p vanishes there
+    # strictly above: the root itself is excluded even when p vanishes there;
+    # from the root on: it is included
     assert count_roots_above(p, two) == 1
+    assert count_roots_from(p, two) == 2
     assert count_roots_above(from_roots([3, 3]), sqrt2) == 1
     assert count_roots_above(IntPolynomial.from_coeffs([7]), sqrt2) == 0
+    assert count_roots_from(IntPolynomial.from_coeffs([7]), sqrt2) == 0
     assert count_roots_above(X2_MINUS_2, sqrt2) == 0
+    assert count_roots_from(X2_MINUS_2, sqrt2) == 1
     assert count_roots_above(X2_MINUS_3, sqrt2) == 1
 
 
