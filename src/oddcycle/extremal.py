@@ -4,13 +4,14 @@ verification sweeps.
 F(n, m) is the star on vertex 0 plus a matching among its leaves; H_n is the
 edge-maximal member F(n, floor(3(n-1)/2)).  Connected odd-cycle classes are
 grown block by block, and the graphs of order n are built as multisets of
-them.  Labeled sweeps walk every edge mask of order n in one loop,
-_labeled_rows.  The sweeps here machine-check the classification of max-root
+them.  The sweeps here machine-check the classification of max-root
 maximizers, grid monotonicity of t(F(n, m)), the reduction to F, the
-dominance behaviour of the Kelmans shift, the orientation identity for skew
-characteristic polynomials, and the library's own oracles.  Each sweep
-returns a VerificationReport; a nonempty counterexample list means the claim
-failed on this universe.
+dominance behaviour of the Kelmans shift, the identity and the spectral
+radius of skew matrices, and the library's own oracles.  The dominance,
+identity and oracle sweeps walk every labeled edge mask in one loop,
+_labeled_rows, split over processes by _run_shards; all others but the grid
+run over isomorphism classes in one process.  Each sweep returns a
+VerificationReport; a nonempty counterexample list means the claim failed.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from .kelmans import (
 )
 from .matching import matching_polynomial, matching_profile, matching_profile_bruteforce, polynomial_from_profile
 from .polynomials import IntPolynomial
-from .roots import EQ, GT, AlgebraicRoot, compare_roots, max_real_root
-from .skew import Orientation, SwitchingClasses, _alternating_form, _identity_target, skew_char_poly
+from .roots import EQ, GT, AlgebraicRoot, compare_roots, max_matching_root, max_real_root
+from .skew import Orientation, SwitchingClasses, _identity_target, skew_char_poly, skew_spectral_radius
 
 STRUCTURED_MAX_N = 11
 
@@ -354,9 +355,10 @@ def _labeled_copies(g: Graph) -> int:
     return math.factorial(g.n) // aut
 
 
-def _claimed_maximizers(n: int, m: int) -> tuple[list[Graph], IntPolynomial | None]:
-    """Expected max-root winners of order n and size m, plus the polynomial
-    the maximum value must satisfy (None when no closed form is claimed)."""
+def _claimed_maximizers(n: int, m: int) -> tuple[list[Graph], IntPolynomial]:
+    """Expected max-root winners of order n and size m, plus a polynomial
+    the maximum value must be a root of.  For F(n, m), x(x^2 - 1) m(F, x) =
+    x^p (x^2 - 1)^k (x^4 - n x^2 + p) with k = m - n + 1, p = 3n - 3 - 2m."""
     if m == 1:
         return [_pad_to(complete_graph(2), n)], IntPolynomial.from_coeffs([-1, 0, 1])
     if m == 2:
@@ -368,7 +370,8 @@ def _claimed_maximizers(n: int, m: int) -> tuple[list[Graph], IntPolynomial | No
         return claimed, IntPolynomial.from_coeffs([-3, 0, 1])
     if m <= n - 2:
         return [_pad_to(star_graph(m), n)], IntPolynomial.from_coeffs([-m, 0, 1])
-    return [make_F(n, m)], None
+    p = 3 * n - 3 - 2 * m
+    return [make_F(n, m)], IntPolynomial.from_coeffs([p, 0, -n, 0, 1])
 
 
 def verify_classification(n: int, threads: int = 1) -> VerificationReport:
@@ -398,9 +401,8 @@ def verify_classification(n: int, threads: int = 1) -> VerificationReport:
                 f"n={n} m={m}: {actual_count} labeled maximizers, expected "
                 f"{expected_count} labeled copies of the claimed graphs"
             )
-        if value_poly is not None:
-            if root.compare_to_rational(0) != GT or root.sign_of(value_poly) != 0:
-                bad.append(f"n={n} m={m}: maximum root differs from the claimed closed form")
+        if root.compare_to_rational(0) != GT or root.sign_of(value_poly) != 0:
+            bad.append(f"n={n} m={m}: maximum root differs from the claimed closed form")
         notes.append(f"n={n} m={m}: t~{root.decimal_str(6)} witness {witness} x{actual_count}")
     universe = f"all labeled odd-cycle graphs of order {n}, 1 <= m <= {edge_cap(n)}"
     return _report("classification", universe, checked, bad, notes, t0)
@@ -486,9 +488,14 @@ def verify_monotonicity(n_max: int, threads: int = 1) -> VerificationReport:
 # -------------------------------------------------------------- reduction
 
 
-def _reduction_worker(args: tuple[int, int, int]):
-    n, shard, shards = args
-    classes = connected_odd_cycle_reps(n)[shard::shards]
+def verify_reduction(n: int, threads: int = 1) -> VerificationReport:
+    """Every connected odd-cycle graph of order n reduces to F(n, m) within
+    the step bounds, through valid intermediates, and is strictly dominated
+    by its target unless already isomorphic to it.  Runs over isomorphism
+    classes in one process and ignores threads."""
+    t0 = time.perf_counter()
+    _check_order("reduction", n)
+    classes = connected_odd_cycle_reps(n)
     bad: list[str] = []
     max_steps = 0
     target_roots: dict[int, AlgebraicRoot] = {}
@@ -520,23 +527,12 @@ def _reduction_worker(args: tuple[int, int, int]):
                 bad.append(f"{g6}: F({n},{m}) does not strictly dominate")
             tr = target_roots.get(m)
             if tr is None:
-                tr = max_real_root(matching_polynomial(target))
-                target_roots[m] = tr
+                tr = target_roots[m] = max_real_root(matching_polynomial(target))
             if compare_roots(tr, max_real_root(matching_polynomial(g))) != GT:
                 bad.append(f"{g6}: t(F({n},{m})) is not strictly larger")
-    return bad, len(classes), max_steps
-
-
-def verify_reduction(n: int, threads: int = 1) -> VerificationReport:
-    """Every connected odd-cycle graph of order n reduces to F(n, m) within
-    the step bounds, through valid intermediates, and is strictly dominated
-    by its target unless already isomorphic to it."""
-    t0 = time.perf_counter()
-    _check_order("reduction", n)
-    bad, (checked, steps) = _run_shards(_reduction_worker, n, threads)
     universe = f"connected odd-cycle graphs of order {n}, one per isomorphism class"
-    witness = f"n={n}: {sum(checked)} classes, longest trace {max(steps)} steps"
-    return _report("reduction", universe, sum(checked), bad, [witness], t0)
+    witness = f"n={n}: {len(classes)} classes, longest trace {max_steps} steps"
+    return _report("reduction", universe, len(classes), sorted(bad), [witness], t0)
 
 
 # ------------------------------------------------------- kelmans dominance
@@ -609,18 +605,6 @@ def verify_dominance(n: int, threads: int = 1) -> VerificationReport:
 # --------------------------------------------------------- skew identity
 
 
-def _orientation_report(claim: str, universe: str, worker, n: int, threads: int):
-    """Run an orientation sweep; its workers return (counterexamples,
-    orientations covered, graphs, switching classes evaluated)."""
-    t0 = time.perf_counter()
-    _check_order(claim, n)
-    bad, columns = _run_shards(worker, n, threads)
-    orientations, graphs, evaluated = map(sum, columns)
-    witness = (f"n={n}: {graphs} graphs, {orientations} orientations covered, "
-               f"{evaluated} switching classes evaluated")
-    return _report(claim, universe, orientations, bad, [witness], t0)
-
-
 def _identity_worker(args: tuple[int, int, int]):
     n, shard, shards = args
     bad: list[str] = []
@@ -660,50 +644,42 @@ def verify_identity(n: int, threads: int = 1) -> VerificationReport:
     the unsigned matching-count polynomial: holds for every orientation of
     every odd-cycle graph of order n, and fails for at least one orientation
     of every other graph of order n."""
+    t0 = time.perf_counter()
+    _check_order("identity", n)
+    bad, columns = _run_shards(_identity_worker, n, threads)
+    orientations, graphs, evaluated = map(sum, columns)
     universe = f"all labeled graphs of order {n}, both identity directions"
-    return _orientation_report("identity", universe, _identity_worker, n, threads)
-
-
-def _radius_worker(args: tuple[int, int, int]):
-    n, shard, shards = args
-    agree_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
-    bad: list[str] = []
-    orientations = 0
-    evaluated = 0
-    graphs = 0
-    for _, rows in _labeled_rows(n, shard, shards):
-        if not odd_cycle_rows(n, rows):
-            continue
-        g = Graph(n, tuple(rows))
-        graphs += 1
-        mpoly = matching_polynomial(g)
-        match_root: AlgebraicRoot | None = None
-        # one orientation per switching class covers all 2^m of them
-        orientations += 1 << g.m
-        for omask in SwitchingClasses(g).representatives():
-            evaluated += 1
-            phi = skew_char_poly(Orientation(g, omask))
-            key = (phi.coeffs, mpoly.coeffs)
-            agree = agree_cache.get(key)
-            if agree is None:
-                rho = max_real_root(_alternating_form(phi, n))
-                if match_root is None:
-                    match_root = max_real_root(mpoly)
-                agree = compare_roots(rho, match_root) == EQ
-                agree_cache[key] = agree
-            if not agree:
-                bad.append(
-                    f"{write_graph6(g)} orientation {omask:#x} and its switching class: "
-                    "spectral radius differs from the matching root"
-                )
-    return bad, orientations, graphs, evaluated
+    witness = (f"n={n}: {graphs} graphs, {orientations} orientations covered, "
+               f"{evaluated} switching classes evaluated")
+    return _report("identity", universe, orientations, bad, [witness], t0)
 
 
 def verify_radius(n: int, threads: int = 1) -> VerificationReport:
     """Skew spectral radius equals the maximum matching root for every
-    orientation of every odd-cycle graph of order n, by exact comparison."""
+    orientation of every odd-cycle graph of order n, by exact comparison.
+    Relabelling and switching are similarities on the skew matrix, so the
+    switching representatives of one graph per isomorphism class stand for
+    its n!/|Aut| * 2^m labeled orientations.  Ignores threads."""
+    t0 = time.perf_counter()
+    _check_order("radius", n)
+    bad: list[str] = []
+    orientations = evaluated = graphs = 0
+    for g, aut in _odd_cycle_classes(n):
+        copies = math.factorial(n) // aut
+        graphs += copies
+        orientations += copies << g.m
+        match_root = max_matching_root(g)
+        for rep in SwitchingClasses(g).representatives():
+            evaluated += 1
+            if compare_roots(skew_spectral_radius(Orientation(g, rep)), match_root) != EQ:
+                bad.append(
+                    f"{write_graph6(g)} orientation {rep:#x} and its switching class: "
+                    "spectral radius differs from the matching root"
+                )
     universe = f"all labeled odd-cycle graphs of order {n}, all orientations"
-    return _orientation_report("radius", universe, _radius_worker, n, threads)
+    witness = (f"n={n}: {graphs} graphs, {orientations} orientations covered, "
+               f"{evaluated} switching classes evaluated")
+    return _report("radius", universe, orientations, bad, [witness], t0)
 
 
 # --------------------------------------------------------------- oracles

@@ -5,11 +5,16 @@ import math
 import pytest
 
 from oddcycle import (
+    EQ,
     DominanceVerdict,
     Graph,
+    IntPolynomial,
     ReductionTrace,
+    SwitchingClasses,
     VerificationReport,
+    all_orientations,
     automorphism_count,
+    compare_roots,
     connected_odd_cycle_reps,
     cycle_graph,
     edge_cap,
@@ -19,8 +24,12 @@ from oddcycle import (
     kelmans_transform,
     make_F,
     make_H,
+    matching_polynomial,
     matching_profile,
+    max_matching_root,
+    max_real_root,
     merge_reports,
+    skew_spectral_radius,
     star_graph,
     verify_classification,
     verify_conjecture,
@@ -75,6 +84,22 @@ def test_make_F_is_odd_cycle_graph():
 def test_make_F_at_m_equal_n_minus_1_is_the_star():
     for n in range(2, 21):
         assert make_F(n, n - 1) == star_graph(n - 1)
+
+
+def test_F_matching_polynomial_factorization():
+    # x(x^2 - 1) m(F(n, m), x) = x^p (x^2 - 1)^k (x^4 - n x^2 + p) with
+    # k = m - n + 1 triangles at the centre and p = 3n - 3 - 2m pendant leaves
+    x2_minus_1 = IntPolynomial.from_coeffs([-1, 0, 1])
+    points = 0
+    for n in range(1, 21):
+        for m in range(n - 1, edge_cap(n) + 1):
+            k, p = m - n + 1, 3 * n - 3 - 2 * m
+            rhs = IntPolynomial.from_coeffs([p, 0, -n, 0, 1]).shifted(p)
+            for _ in range(k):
+                rhs = rhs * x2_minus_1
+            assert (x2_minus_1 * matching_polynomial(make_F(n, m))).shifted(1) == rhs, (n, m)
+            points += 1
+    assert points == 110
 
 
 def test_make_H():
@@ -403,9 +428,51 @@ def test_verify_identity_small():
 
 
 def test_verify_radius_small():
-    rep = verify_radius(4)
+    rep = verify_radius(5)
     assert rep.passed
     assert rep.claim == "radius"
+    assert rep.witnesses == (
+        "n=5: 548 graphs, 10425 orientations covered, 28 switching classes evaluated",
+    )
+
+
+@pytest.mark.parametrize("n,total", [(1, 1), (2, 3), (3, 27), (4, 425)])
+def test_radius_matches_a_labeled_walk_over_every_orientation(n, total):
+    # no switching classes and no |Aut|: every orientation of every labeled graph
+    seen = 0
+    for g in labeled_odd_cycle_graphs(n):
+        t = max_matching_root(g)
+        for o in all_orientations(g):
+            assert compare_roots(skew_spectral_radius(o), t) == EQ, (write_graph6(g), o.mask)
+            seen += 1
+    assert seen == total == verify_radius(n).checked
+
+
+def test_radius_reports_exactly_the_class_with_a_wrong_radius(monkeypatch):
+    # the paw (a triangle with a pendant edge) has two switching classes
+    paw = next(g for g, _ in _odd_cycle_classes(4) if g.m == 4)
+    wrong = list(SwitchingClasses(paw).representatives())[-1]
+    real = extremal.skew_spectral_radius
+
+    def radius(o):
+        if o.graph == paw and o.mask == wrong:
+            return max_real_root(IntPolynomial.from_coeffs([-5, 0, 1]))
+        return real(o)
+
+    monkeypatch.setattr(extremal, "skew_spectral_radius", radius)
+    rep = verify_radius(4)
+    assert rep.checked == 425
+    assert rep.counterexamples == (
+        f"{write_graph6(paw)} orientation {wrong:#x} and its switching class: "
+        "spectral radius differs from the matching root",
+    )
+
+
+def test_radius_credits_each_class_with_its_labeled_copies(monkeypatch):
+    monkeypatch.setattr(
+        extremal, "_connected_aut_counts", lambda k: (1,) * len(connected_odd_cycle_reps(k))
+    )
+    assert verify_radius(4).checked != 425
 
 
 @pytest.mark.parametrize(
