@@ -7,11 +7,11 @@ grown block by block, and the graphs of order n are built as multisets of
 them.  The sweeps here machine-check the classification of max-root
 maximizers, grid monotonicity of t(F(n, m)), the reduction to F, the
 dominance behaviour of the Kelmans shift, the identity and the spectral
-radius of skew matrices, and the library's own oracles.  The dominance,
-identity and oracle sweeps walk every labeled edge mask in one loop,
-_labeled_rows, split over processes by _run_shards; all others but the grid
-run over isomorphism classes in one process.  Each sweep returns a
-VerificationReport; a nonempty counterexample list means the claim failed.
+radius of skew matrices, and the library's own oracles.  The identity and
+oracle sweeps walk every labeled edge mask in one loop, _labeled_rows, split
+over processes by _run_shards; all others but the grid run over isomorphism
+classes in one process.  Each sweep returns a VerificationReport; a
+nonempty counterexample list means the claim failed.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from collections import Counter
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import permutations
 from types import MappingProxyType
 
 from .graphs import (
@@ -36,6 +37,7 @@ from .graphs import (
     is_connected,
     is_isomorphic,
     is_odd_cycle_graph,
+    iter_bits,
     odd_cycle_rows,
     parse_graph6,
     star_graph,
@@ -127,10 +129,8 @@ def connected_odd_cycle_reps(n: int) -> tuple[Graph, ...]:
     every vertex of every smaller representative.  Any connected graph whose
     blocks are edges and odd cycles arises this way: its block-cut tree has a
     leaf block, and removing that block (keeping the cut vertex) leaves a
-    smaller graph of the same kind.  Candidates are deduplicated by
-    isomorphism inside (size, degree multiset, matching profile) buckets.
-    Each order is grown once per process; the smaller orders come from the
-    cache.
+    smaller graph of the same kind.  Each order is grown once per process;
+    the smaller orders come from the cache.
     """
     if not 1 <= n <= STRUCTURED_MAX_N:
         raise GraphTooLargeError(f"structured generation limited to n <= {STRUCTURED_MAX_N}")
@@ -152,12 +152,36 @@ def connected_odd_cycle_reps(n: int) -> tuple[Graph, ...]:
                     rows[a] |= 1 << b
                     rows[b] |= 1 << a
                 candidates.append(Graph(n, tuple(rows)))
+    return _one_per_class(candidates)
+
+
+@functools.cache
+def _connected_classes(n: int) -> tuple[Graph, ...]:
+    """Connected graphs of order n, one per isomorphism class: each class of
+    order n - 1 plus a new vertex joined to each nonempty vertex set.
+    Deleting a leaf of a spanning tree leaves a connected graph, so every
+    class arises."""
+    if n == 1:
+        return (Graph.empty(1),)
+    candidates: list[Graph] = []
+    for base in _connected_classes(n - 1):
+        for nbrs in range(1, 1 << (n - 1)):
+            rows = list(base.adj) + [nbrs]
+            for r in iter_bits(nbrs):
+                rows[r] |= 1 << (n - 1)
+            candidates.append(Graph(n, tuple(rows)))
+    return _one_per_class(candidates)
+
+
+def _one_per_class(candidates: list[Graph]) -> tuple[Graph, ...]:
+    """The first candidate of each isomorphism class, in order; isomorphism
+    is tested only inside (size, degree multiset, matching profile) buckets."""
     buckets: dict[tuple, list[Graph]] = {}
     kept: list[Graph] = []
     for cand in candidates:
         key = (
             cand.m,
-            tuple(sorted(cand.degree(v) for v in range(n))),
+            tuple(sorted(cand.degree(v) for v in range(cand.n))),
             matching_profile(cand).counts,
         )
         bucket = buckets.setdefault(key, [])
@@ -538,68 +562,43 @@ def verify_reduction(n: int, threads: int = 1) -> VerificationReport:
 # ------------------------------------------------------- kelmans dominance
 
 
-def _dominance_worker(args: tuple[int, int, int]):
-    n, shard, shards = args
-    full = (1 << n) - 1
-    poly_cache: dict[tuple[int, ...], IntPolynomial] = {}
-
-    def poly_of(g: Graph) -> IntPolynomial:
-        got = poly_cache.get(g.adj)
-        if got is None:
-            got = matching_polynomial(g)
-            poly_cache[g.adj] = got
-        return got
-
-    verdict_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], DominanceVerdict] = {}
-    bad: list[str] = []
-    checked = exchanged = 0
-    for _, rows in _labeled_rows(n, shard, shards):
-        if _component_mask(rows, 0, full) != full:
-            continue
-        g = Graph(n, tuple(rows))
-        for u in range(n):
-            for v in range(n):
-                if u == v:
-                    continue
-                shifted, _ = kelmans_transform(g, u, v)
-                checked += 1
-                if shifted.adj == g.adj:
-                    continue
-                key = (poly_of(shifted).coeffs, poly_of(g).coeffs)
-                verdict = verdict_cache.get(key)
-                if verdict is None:
-                    verdict = dominance(shifted, g)
-                    verdict_cache[key] = verdict
-                if verdict == DominanceVerdict.INCOMPARABLE:
-                    bad.append(f"{write_graph6(g)} shift ({u},{v}): incomparable")
-                elif verdict != DominanceVerdict.STRICTLY_DOMINATES:
-                    # a shift that is not strict must be the exchange of the
-                    # labels u and v, an explicit isomorphism
-                    swap = list(range(n))
-                    swap[u], swap[v] = v, u
-                    if g.relabeled(swap) == shifted:
-                        exchanged += 1
-                    else:
-                        bad.append(
-                            f"{write_graph6(g)} shift ({u},{v}): verdict "
-                            f"{verdict.value} on a shift that is not the label exchange"
-                        )
-    return bad, checked, exchanged
-
-
 def verify_dominance(n: int, threads: int = 1) -> VerificationReport:
     """The Kelmans shift never produces an incomparable pair, and strictly
     dominates unless it only exchanges the labels u and v.  This is stricter
     than "strict whenever the isomorphism class changes": a shift that is not
     the exchange is reported even if it happens to be isomorphic.  Universe:
-    every connected labeled graph of order n and every ordered vertex pair."""
+    every connected labeled graph of order n and every ordered vertex pair.
+    Relabelling g, u and v together changes neither the verdict nor the
+    exchange test, so a pair of one graph per connected class stands for
+    n!/|Aut| shifts.  Ignores threads."""
     t0 = time.perf_counter()
     _check_order("dominance", n)
-    bad, columns = _run_shards(_dominance_worker, n, threads)
-    checked, exchanged = map(sum, columns)
+    bad: list[str] = []
+    checked = exchanged = 0
+    for g in _connected_classes(n):
+        copies = _labeled_copies(g)
+        for u, v in permutations(range(n), 2):
+            shifted, _ = kelmans_transform(g, u, v)
+            checked += copies
+            if shifted.adj == g.adj:
+                continue
+            verdict = dominance(shifted, g)
+            if verdict == DominanceVerdict.INCOMPARABLE:
+                bad.append(f"{write_graph6(g)} shift ({u},{v}): incomparable")
+            elif verdict != DominanceVerdict.STRICTLY_DOMINATES:
+                # a shift that is not strict must be the label exchange, an isomorphism
+                swap = list(range(n))
+                swap[u], swap[v] = v, u
+                if g.relabeled(swap) == shifted:
+                    exchanged += copies
+                else:
+                    bad.append(
+                        f"{write_graph6(g)} shift ({u},{v}): verdict "
+                        f"{verdict.value} on a shift that is not the label exchange"
+                    )
     universe = f"connected labeled graphs of order {n}, all ordered vertex pairs"
     witness = f"n={n}: {checked} shifts checked, {exchanged} isomorphic by label exchange"
-    return _report("dominance", universe, checked, bad, [witness], t0)
+    return _report("dominance", universe, checked, sorted(bad), [witness], t0)
 
 
 # --------------------------------------------------------- skew identity

@@ -4,7 +4,8 @@ Everything here deliberately uses different machinery from the library:
 direct bit-string assembly for graph6, simple-path enumeration for even
 cycles, Laplace expansion for characteristic polynomials, frozenset
 bookkeeping for matching counts, numpy subset tests for the bulk matching
-census, edge-subset combinations for the labeled odd-cycle enumeration, and
+census, edge-subset combinations for the labeled odd-cycle enumeration, the
+exponential transform of 2^C(n,2) for connected labeled counts, and
 Fraction arithmetic for root bisection, Sturm counts and dominance.  Slow
 is fine; these exist to be obviously right.  The two identity checks at the end are the
 exception: they hold the library's own matching polynomials to the deletion
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from oddcycle import (
     DominanceVerdict,
@@ -375,6 +376,20 @@ def labeled_odd_cycle_graphs(n: int, connected_only: bool = False):
             if connected_only and _component_mask(rows, 0, full) != full:
                 continue
             yield Graph(n, tuple(rows))
+
+
+def connected_labeled_counts(n: int) -> int:
+    """Number of connected labeled graphs of order n, from the exponential
+    transform of 2^C(n,2): a graph is its vertex 1's component, of some
+    order k, plus any graph on the other n - k vertices, so
+    c_n = 2^C(n,2) - sum_{k<n} C(n-1, k-1) c_k 2^C(n-k,2)."""
+    c = [0]
+    for order in range(1, n + 1):
+        split = sum(
+            comb(order - 1, k - 1) * c[k] * 2 ** comb(order - k, 2) for k in range(1, order)
+        )
+        c.append(2 ** comb(order, 2) - split)
+    return c[n]
 
 
 def check_deletion_identity(g, edge: tuple[int, int]) -> bool:

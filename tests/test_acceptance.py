@@ -168,17 +168,20 @@ def test_criterion_5_shift_dominance():
     t0 = time.perf_counter()
     problems: list[str] = []
     shift_counts = (2, 24, 456, 14560, 801120)
+    exchange_counts = (0, 6, 144, 4120, 190800)
     reports = [verify_dominance(n, threads=CORES) for n in range(2, 7)]
-    for n, report, expect in zip(range(2, 7), reports, shift_counts):
+    exchanged = 0
+    for n, report, shifts, exchanges in zip(range(2, 7), reports, shift_counts, exchange_counts):
         if not report.passed:
             problems.extend(report.counterexamples[:3])
-        if report.checked != expect:
-            problems.append(f"n={n}: expected {expect} shifts, saw {report.checked}")
+        if report.checked != shifts:
+            problems.append(f"n={n}: expected {shifts} shifts, saw {report.checked}")
+        seen = int(re.search(r"(\d+) isomorphic by label exchange", report.witnesses[0])[1])
+        if seen != exchanges:
+            problems.append(f"n={n}: expected {exchanges} label exchanges, saw {seen}")
+        exchanged += seen
     elapsed = time.perf_counter() - t0
     _budget(problems, elapsed, 900.0)
-    exchanged = sum(
-        int(re.search(r"(\d+) isomorphic by label exchange", r.witnesses[0])[1]) for r in reports
-    )
     _verdict(
         5,
         "shift dominance",

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -29,6 +30,7 @@ from oddcycle import (
     max_matching_root,
     max_real_root,
     merge_reports,
+    parse_graph6,
     skew_spectral_radius,
     star_graph,
     verify_classification,
@@ -45,7 +47,7 @@ from oddcycle import (
 from oddcycle import extremal, reduce_to_F
 from oddcycle.extremal import _odd_cycle_classes
 from oddcycle.kelmans import _is_star_plus_matching
-from oracles import has_even_cycle, labeled_odd_cycle_graphs
+from oracles import connected_labeled_counts, has_even_cycle, labeled_odd_cycle_graphs
 
 
 def test_edge_cap_values():
@@ -390,11 +392,13 @@ def test_verify_dominance_small():
 
 def test_dominance_reports_exactly_the_non_isomorphic_weak_shifts(monkeypatch):
     # with every verdict forced to weak, a changed shift passes only as a label
-    # exchange; at n = 4 those are exactly the shifts is_isomorphic accepts
+    # exchange; at n = 4 those are exactly the shifts is_isomorphic accepts.
+    # The labeled walk here is the oracle; the sweep names one class
+    # representative per failing pair, standing for 4!/|Aut| labeled shifts
     n = 4
     monkeypatch.setattr(extremal, "dominance", lambda g1, g2: DominanceVerdict.WEAKLY_DOMINATES)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    want: list[str] = []
+    not_isomorphic = 0
     isomorphic = 0
     for mask in range(1 << len(pairs)):
         g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
@@ -410,14 +414,45 @@ def test_dominance_reports_exactly_the_non_isomorphic_weak_shifts(monkeypatch):
                 if is_isomorphic(shifted, g):
                     isomorphic += 1
                 else:
-                    want.append(
-                        f"{write_graph6(g)} shift ({u},{v}): verdict "
-                        "weakly_dominates on a shift that is not the label exchange"
-                    )
+                    not_isomorphic += 1
     rep = verify_dominance(n)
-    assert want and isomorphic
-    assert list(rep.counterexamples) == sorted(want)
+    weighted = 0
+    for line in rep.counterexamples:
+        g6, u, v = re.fullmatch(
+            r"(\S+) shift \((\d),(\d)\): verdict weakly_dominates on a shift that is "
+            r"not the label exchange",
+            line,
+        ).groups()
+        g = parse_graph6(g6)
+        assert not is_isomorphic(kelmans_transform(g, int(u), int(v))[0], g)
+        weighted += math.factorial(n) // automorphism_count(g)
+    assert list(rep.counterexamples) == sorted(set(rep.counterexamples))
+    assert (len(rep.counterexamples), weighted, not_isomorphic) == (12, 72, 72)
     assert rep.witnesses[0].endswith(f", {isomorphic} isomorphic by label exchange")
+
+
+def test_dominance_credits_each_class_with_its_labeled_copies(monkeypatch):
+    monkeypatch.setattr(extremal, "automorphism_count", lambda g: 1)
+    assert verify_dominance(4).checked != 456
+
+
+def test_connected_labeled_counts_oracle():
+    assert [connected_labeled_counts(n) for n in range(1, 8)] == [
+        1, 1, 4, 38, 728, 26704, 1866256
+    ]
+
+
+@pytest.mark.parametrize("n,classes", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)])
+def test_connected_classes_cover_the_labeled_connected_graphs(n, classes):
+    # orbit counting against the exponential-transform count
+    reps = extremal._connected_classes(n)
+    assert len(reps) == classes
+    assert all(g.n == n and is_connected(g) for g in reps)
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            assert not is_isomorphic(reps[i], reps[j])
+    labeled = sum(math.factorial(n) // automorphism_count(g) for g in reps)
+    assert labeled == connected_labeled_counts(n)
 
 
 def test_verify_identity_small():
