@@ -23,7 +23,7 @@ from collections import Counter
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from types import MappingProxyType
 
 from .graphs import (
@@ -51,7 +51,7 @@ from .kelmans import (
     kelmans_transform,
     reduce_to_F,
 )
-from .matching import matching_polynomial, matching_profile, matching_profile_bruteforce, polynomial_from_profile
+from .matching import matching_profile, matching_profile_bruteforce, polynomial_from_profile
 from .polynomials import IntPolynomial
 from .roots import EQ, GT, AlgebraicRoot, compare_roots, max_matching_root, max_real_root
 from .skew import Orientation, SwitchingClasses, _identity_target, skew_char_poly, skew_spectral_radius
@@ -379,10 +379,15 @@ def _labeled_copies(g: Graph) -> int:
     return math.factorial(g.n) // aut
 
 
+def _F_quartic(n: int, m: int) -> IntPolynomial:
+    """x^4 - n x^2 + p, p = 3n - 3 - 2m, whose largest root is t(F(n, m)):
+    x(x^2 - 1) m(F, x) = x^p (x^2 - 1)^k (x^4 - n x^2 + p), k = m - n + 1."""
+    return IntPolynomial.from_coeffs([3 * n - 3 - 2 * m, 0, -n, 0, 1])
+
+
 def _claimed_maximizers(n: int, m: int) -> tuple[list[Graph], IntPolynomial]:
     """Expected max-root winners of order n and size m, plus a polynomial
-    the maximum value must be a root of.  For F(n, m), x(x^2 - 1) m(F, x) =
-    x^p (x^2 - 1)^k (x^4 - n x^2 + p) with k = m - n + 1, p = 3n - 3 - 2m."""
+    the maximum value must be a root of: _F_quartic for F(n, m)."""
     if m == 1:
         return [_pad_to(complete_graph(2), n)], IntPolynomial.from_coeffs([-1, 0, 1])
     if m == 2:
@@ -394,8 +399,7 @@ def _claimed_maximizers(n: int, m: int) -> tuple[list[Graph], IntPolynomial]:
         return claimed, IntPolynomial.from_coeffs([-3, 0, 1])
     if m <= n - 2:
         return [_pad_to(star_graph(m), n)], IntPolynomial.from_coeffs([-m, 0, 1])
-    p = 3 * n - 3 - 2 * m
-    return [make_F(n, m)], IntPolynomial.from_coeffs([p, 0, -n, 0, 1])
+    return [make_F(n, m)], _F_quartic(n, m)
 
 
 def verify_classification(n: int, threads: int = 1) -> VerificationReport:
@@ -477,35 +481,29 @@ def verify_conjecture(n: int, threads: int = 1) -> VerificationReport:
 
 def verify_monotonicity(n_max: int, threads: int = 1) -> VerificationReport:
     """Strict growth of t(F(n, m)) in m (fixed n) and in n (fixed m >= 4)
-    over every grid point where both endpoints are defined."""
+    over every grid point where both endpoints are defined, by Sturm
+    comparisons; each grid root is also checked against _F_quartic."""
     t0 = time.perf_counter()
     _check_order("monotonicity", n_max)
-    roots: dict[tuple[int, int], AlgebraicRoot] = {}
-
-    def root_of(n: int, m: int) -> AlgebraicRoot:
-        got = roots.get((n, m))
-        if got is None:
-            got = max_real_root(matching_polynomial(make_F(n, m)))
-            roots[(n, m)] = got
-        return got
-
     bad: list[str] = []
-    checked = 0
-    m4_checked = 0
+    points = checked = m4_checked = 0
     for n in range(2, n_max + 1):
-        for m in range(n - 1, edge_cap(n)):
-            checked += 1
-            if compare_roots(root_of(n, m + 1), root_of(n, m)) != GT:
-                bad.append(f"t(F({n},{m})) >= t(F({n},{m + 1}))")
-    for n in range(2, n_max):
-        for m in range(max(4, n), edge_cap(n) + 1):
-            checked += 1
-            if m == 4:
-                m4_checked += 1
-            if compare_roots(root_of(n + 1, m), root_of(n, m)) != GT:
-                bad.append(f"t(F({n},{m})) >= t(F({n + 1},{m}))")
+        for m in range(n - 1, edge_cap(n) + 1):
+            points += 1
+            root = max_matching_root(make_F(n, m))
+            if root.sign_of(_F_quartic(n, m)) != 0:
+                bad.append(f"t(F({n},{m})) is not a root of {_F_quartic(n, m).pretty()}")
+            if m < edge_cap(n):
+                checked += 1
+                if compare_roots(max_matching_root(make_F(n, m + 1)), root) != GT:
+                    bad.append(f"t(F({n},{m})) >= t(F({n},{m + 1}))")
+            if n < n_max and m >= max(4, n):
+                checked += 1
+                m4_checked += m == 4
+                if compare_roots(max_matching_root(make_F(n + 1, m)), root) != GT:
+                    bad.append(f"t(F({n},{m})) >= t(F({n + 1},{m}))")
     universe = f"F(n, m) grid, 2 <= n <= {n_max}, both endpoints defined"
-    witness = f"m=4 column pairs checked: {m4_checked}, all strict"
+    witness = f"m=4 column pairs checked: {m4_checked}, all strict; {points} roots on their quartic"
     return _report("monotonicity", universe, checked, bad, [witness], t0)
 
 
@@ -522,7 +520,6 @@ def verify_reduction(n: int, threads: int = 1) -> VerificationReport:
     classes = connected_odd_cycle_reps(n)
     bad: list[str] = []
     max_steps = 0
-    target_roots: dict[int, AlgebraicRoot] = {}
     for g in classes:
         g6 = write_graph6(g)
         m = g.m
@@ -549,10 +546,7 @@ def verify_reduction(n: int, threads: int = 1) -> VerificationReport:
         else:
             if dominance(target, g) != DominanceVerdict.STRICTLY_DOMINATES:
                 bad.append(f"{g6}: F({n},{m}) does not strictly dominate")
-            tr = target_roots.get(m)
-            if tr is None:
-                tr = target_roots[m] = max_real_root(matching_polynomial(target))
-            if compare_roots(tr, max_real_root(matching_polynomial(g))) != GT:
+            if compare_roots(max_matching_root(target), max_matching_root(g)) != GT:
                 bad.append(f"{g6}: t(F({n},{m})) is not strictly larger")
     universe = f"connected odd-cycle graphs of order {n}, one per isomorphism class"
     witness = f"n={n}: {len(classes)} classes, longest trace {max_steps} steps"
@@ -707,7 +701,10 @@ def _oracle_worker(args: tuple[int, int, int]):
             if matching_profile(g).counts != matching_profile_bruteforce(g).counts:
                 bad.append(f"{write_graph6(g)}: matching profile disagrees with brute force")
         m = mask.bit_count()
-        if m <= cap and _component_mask(rows, 0, full) == full and odd_cycle_rows(n, rows):
+        # two vertices with two common neighbours close a 4-cycle: no block walk
+        if (m <= cap and _component_mask(rows, 0, full) == full
+                and all((rows[u] & rows[v]).bit_count() < 2 for u, v in combinations(range(n), 2))
+                and odd_cycle_rows(n, rows)):
             connected[m] += 1
     return bad, profile_checked, roundtrip_checked, connected
 

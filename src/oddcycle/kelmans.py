@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, is_connected, is_odd_cycle_graph, iter_bits, long_odd_cycles, write_graph6
 from .matching import matching_polynomial
-from .roots import count_roots_above, count_roots_from, max_real_root
+from .roots import count_roots_above, count_roots_from, max_matching_root
 from .polynomials import IntPolynomial
 
 
@@ -241,15 +241,13 @@ def dominance(g1: Graph, g2: Graph) -> DominanceVerdict:
     """
     if g1.n != g2.n:
         raise ValueError("graphs must have the same vertex count")
-    p1 = matching_polynomial(g1)
-    p2 = matching_polynomial(g2)
-    d = p2 - p1
+    d = matching_polynomial(g2) - matching_polynomial(g1)
     if d.is_zero():
         return DominanceVerdict.EQUAL_POLYNOMIALS
     if d.leading < 0:
         return DominanceVerdict.INCOMPARABLE
 
-    t1 = max_real_root(p1)
+    t1 = max_matching_root(g1)
     if count_roots_from(d, t1) == 0:
         return DominanceVerdict.STRICTLY_DOMINATES
     odd_part = IntPolynomial.one()

@@ -12,12 +12,14 @@ one per matching size; the field width is chosen from the m_k(K_n) upper
 bound so that field sums and convolutions never carry.  Addition of packed
 profiles is integer addition and the component product rule is integer
 multiplication, which keeps the exhaustive sweeps fast while staying exact.
+``matching_polynomial`` keeps a bounded memo keyed by graph value;
+``matching_profile``, run on millions of distinct graphs, keeps none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
 
@@ -112,6 +114,7 @@ def polynomial_from_profile(counts, n: int, signed: bool = True) -> IntPolynomia
     return IntPolynomial.from_coeffs(coeffs)
 
 
+@lru_cache(maxsize=4096)
 def matching_polynomial(g: Graph) -> IntPolynomial:
     """Signed matching polynomial sum_k (-1)^k m_k x^(n-2k), monic, degree n."""
     return polynomial_from_profile(matching_profile(g).counts, g.n, signed=True)

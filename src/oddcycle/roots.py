@@ -16,7 +16,8 @@ This module alone decides how narrow an interval is.  ``max_real_root``
 hands out its root refined to width 2^-16, and every question asked of a
 root (its sign under a polynomial, its order against a rational or another
 root, the roots of a polynomial above it, its decimal digits) refines
-further on its own, as far as that question needs.
+further on its own, as far as that question needs.  ``max_matching_root``
+keeps a bounded memo keyed by graph value, so t(G) is isolated once.
 """
 
 from __future__ import annotations
@@ -237,6 +238,7 @@ def max_real_root(p: IntPolynomial) -> AlgebraicRoot:
     return AlgebraicRoot(sf, Fraction(a, d), Fraction(b, d)).refined(_WIDTH)
 
 
+@lru_cache(maxsize=4096)
 def max_matching_root(g: Graph) -> AlgebraicRoot:
     """Largest root of the matching polynomial (0 for edgeless graphs)."""
     return max_real_root(matching_polynomial(g))

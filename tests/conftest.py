@@ -1,4 +1,7 @@
 import hypothesis
+import pytest
+
+from oddcycle import matching_polynomial, max_matching_root
 
 hypothesis.settings.register_profile(
     "exact",
@@ -7,3 +10,10 @@ hypothesis.settings.register_profile(
     max_examples=60,
 )
 hypothesis.settings.load_profile("exact")
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty the m(G) and t(G) memos, so a test sees only its own calls."""
+    matching_polynomial.cache_clear()
+    max_matching_root.cache_clear()

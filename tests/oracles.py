@@ -303,10 +303,12 @@ def dominance_reference(g1: Graph, g2: Graph) -> DominanceVerdict:
     odd part of d (the product of its odd-multiplicity squarefree factors)
     above t(G1) is a sign change, so incomparable; failing that, d touching
     zero at or above t(G1) is weak, and anything else strict.  Every root
-    question is answered on the Fraction bracket of max_real_root_reference.
+    question is answered on the Fraction bracket of max_real_root_reference,
+    and m(G) is expanded afresh, past the library's memo.
     """
-    p1 = matching_polynomial(g1)
-    d = matching_polynomial(g2) - p1
+    expand = matching_polynomial.__wrapped__
+    p1 = expand(g1)
+    d = expand(g2) - p1
     if d.is_zero():
         return DominanceVerdict.EQUAL_POLYNOMIALS
     if d.leading < 0:

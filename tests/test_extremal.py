@@ -316,6 +316,31 @@ def test_verify_monotonicity_small():
     assert rep.checked > 0
 
 
+def test_monotonicity_checks_each_root_against_its_quartic(monkeypatch):
+    points = sum(edge_cap(n) - n + 2 for n in range(2, 9))
+    assert points == 19
+    rep = verify_monotonicity(8)
+    assert rep.witnesses == (
+        f"m=4 column pairs checked: 1, all strict; {points} roots on their quartic",
+    )
+    # p + 1 in place of p moves the quartic's roots off every grid root,
+    # while the Sturm comparisons still pass
+    monkeypatch.setattr(
+        extremal,
+        "_F_quartic",
+        lambda n, m: IntPolynomial.from_coeffs([3 * n - 2 - 2 * m, 0, -n, 0, 1]),
+    )
+    wrong = verify_monotonicity(8)
+    assert wrong.checked == rep.checked
+    assert len(wrong.counterexamples) == points
+    assert all("is not a root of" in c for c in wrong.counterexamples)
+    assert wrong.counterexamples[0] == "t(F(2,1)) is not a root of x^4 - 2x^2 + 2"
+    # classification reads the same helper
+    assert verify_classification(5).counterexamples == tuple(
+        f"n=5 m={m}: maximum root differs from the claimed closed form" for m in (4, 5, 6)
+    )
+
+
 def test_verify_reduction_small():
     rep = verify_reduction(6)
     assert rep.passed

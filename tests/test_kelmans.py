@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oddcycle import (
     EQ,
+    GT,
     LT,
     AlgebraicRoot,
     DominanceVerdict,
@@ -33,6 +34,7 @@ from oddcycle import (
     star_graph,
     write_graph6,
 )
+from oddcycle import matching, roots
 from oddcycle.extremal import _odd_cycle_classes
 
 from oracles import dominance_reference
@@ -41,6 +43,11 @@ EQUAL = DominanceVerdict.EQUAL_POLYNOMIALS
 STRICT = DominanceVerdict.STRICTLY_DOMINATES
 WEAK = DominanceVerdict.WEAKLY_DOMINATES
 INCOMPARABLE = DominanceVerdict.INCOMPARABLE
+
+# a 5-cycle with a triangle at vertex 2 and a two-edge path at vertex 4
+CACTUS = Graph.from_edges(
+    9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (5, 6), (6, 2), (4, 7), (7, 8)]
+)
 
 
 @st.composite
@@ -283,6 +290,26 @@ def test_dominance_matches_the_fraction_oracle_on_every_small_pair(universe, cou
             calls.clear()
             assert dominance(g1, g2) is STRICT
             assert len(calls) <= 1
+
+
+def test_one_query_expands_each_graph_once(cold_memos, monkeypatch):
+    profiled, isolated = [], []
+    profile, isolate = matching.matching_profile, roots.max_real_root
+    monkeypatch.setattr(matching, "matching_profile", lambda g: profiled.append(g) or profile(g))
+    monkeypatch.setattr(roots, "max_real_root", lambda p: isolated.append(p) or isolate(p))
+    # each make_F call builds a new, equal graph: the memos hit by value
+    t_g = max_matching_root(CACTUS)
+    assert dominance(make_F(CACTUS.n, CACTUS.m), CACTUS) is STRICT
+    t_f = max_matching_root(make_F(CACTUS.n, CACTUS.m))
+    assert profiled == [CACTUS, make_F(CACTUS.n, CACTUS.m)]
+    assert len(isolated) == 2
+    assert compare_roots(t_f, t_g) == GT
+
+
+def test_dominance_reference_bypasses_the_memos(cold_memos):
+    assert dominance_reference(make_F(CACTUS.n, CACTUS.m), CACTUS) is STRICT
+    for memo in (matching_polynomial, max_matching_root):
+        assert memo.cache_info().hits == memo.cache_info().misses == 0
 
 
 @given(graphs(min_n=2, max_n=6), st.integers(1, 10**6))

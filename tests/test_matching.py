@@ -1,7 +1,7 @@
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oddcycle import (
@@ -13,10 +13,12 @@ from oddcycle import (
     matching_polynomial,
     matching_profile,
     matching_profile_bruteforce,
+    max_matching_root,
     path_graph,
     polynomial_from_profile,
     star_graph,
 )
+from oddcycle.roots import _sturm_chain
 
 from oracles import check_deletion_identity, check_union_identity, matchings_by_size_reference
 
@@ -29,6 +31,12 @@ def graphs(draw, min_n=1, max_n=7):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = draw(st.integers(0, (1 << len(pairs)) - 1))
     return Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+
+
+@st.composite
+def relabelled_graphs(draw):
+    g = draw(graphs())
+    return g, g.relabeled(draw(st.permutations(range(g.n))))
 
 
 def all_graphs(n):
@@ -148,3 +156,19 @@ def test_profile_is_isolated_vertex_invariant():
     padded = disjoint_union([g, Graph.empty(3)])
     assert matching_profile(padded).counts[:3] == matching_profile(g).counts
     assert all(c == 0 for c in matching_profile(padded).counts[3:])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(relabelled_graphs())
+def test_memoized_polynomial_and_root_equal_a_fresh_computation(cold_memos, pair):
+    # the path and the claw share order and size, so a memo keyed on less
+    # than the adjacency would hand one the other's polynomial
+    for g in (*pair, path_graph(4), star_graph(3)):
+        assert matching_polynomial(g) == matching_polynomial.__wrapped__(g)
+        assert max_matching_root(g) == max_matching_root.__wrapped__(g)
+
+
+def test_memos_are_bounded(cold_memos):
+    # an unbounded memo would keep every graph of a large sweep alive
+    for memo in (matching_polynomial, max_matching_root):
+        assert memo.cache_info().maxsize == _sturm_chain.cache_info().maxsize == 4096
