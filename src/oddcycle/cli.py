@@ -4,15 +4,14 @@ Graph arguments accept a graph6 string, "@path" for an edge-list file, "-"
 to read one graph6 string per stdin line, or a constructor spec such as
 "F 5 6", "H 5", "K1 3", "C 5", "P 4" (quote it, or write "F,5,6").
 Exit codes: 0 success, 1 a verification found counterexamples, 2 bad usage
-or unparsable input, 3 an internal failure (a broken invariant, an
-arithmetic error or a crashed worker), reported as one line on stderr.
+or unparsable input, 3 an internal failure (a broken invariant or an
+arithmetic error), reported as one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -263,7 +262,14 @@ _ALIASES = {
 def run_verification(suite: str, max_n: int | None, threads: int = 1) -> VerificationReport:
     """Run one verification suite over orders up to max_n (None: the suite's
     default) and merge reports.  An order outside the suite's range is
-    rejected before anything runs."""
+    rejected before anything runs.
+
+    Every suite runs in this process.  threads accepts only 1: the benchmark
+    workloads in perfbench/workloads.py still pass threads=1, and the
+    keyword goes away once they stop (ROADMAP item 1).
+    """
+    if threads != 1:
+        raise UsageError("every suite runs in one process; threads must be 1")
     # built on each call from the module's current names, which tracers and
     # tests may wrap
     runners = {
@@ -285,22 +291,29 @@ def run_verification(suite: str, max_n: int | None, threads: int = 1) -> Verific
     if not lo <= max_n <= hi:
         raise UsageError(f"suite {name} needs {lo} <= --max-n <= {hi}")
     if name == "monotonicity":
-        return runner(max_n, threads)
-    parts = [runner(n, threads) for n in range(lo, max_n + 1)]
+        return runner(max_n)
+    parts = [runner(n) for n in range(lo, max_n + 1)]
     return merge_reports(name, f"orders {lo}..{max_n}", parts)
 
 
 def _cmd_verify(args) -> int:
-    cores = os.cpu_count() or 1
-    if not 1 <= args.threads <= cores:
-        raise UsageError(f"--threads must be in 1..{cores}")
-    report = run_verification(args.suite, args.max_n, args.threads)
+    report = run_verification(args.suite, args.max_n)
     payload = {"schema": _SCHEMA, "command": "verify", **report.to_json_dict()}
     _emit(payload, [report.to_table()], args.format, args.out)
     return 0 if report.passed else 1
 
 
 # -------------------------------------------------------------------- parser
+
+
+def _digits(text: str) -> int:
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = -1
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return digits
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -323,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxroot", help="largest matching root with certified interval")
     p.add_argument("graph")
-    p.add_argument("--digits", type=int, default=6)
+    p.add_argument("--digits", type=_digits, default=6)
     _add_common(p)
     p.set_defaults(func=_cmd_maxroot)
 
@@ -332,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", type=lambda s: int(s, 0), default=0,
                    help="orientation bitmask over the lexicographic edge list")
     p.add_argument("--all", action="store_true", help="sweep every orientation")
-    p.add_argument("--digits", type=int, default=6)
+    p.add_argument("--digits", type=_digits, default=6)
     _add_common(p)
     p.set_defaults(func=_cmd_skew)
 
@@ -344,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dominance", help="compare two graphs on the ray past t(G1)")
     p.add_argument("graph1")
     p.add_argument("graph2")
-    p.add_argument("--digits", type=int, default=6)
+    p.add_argument("--digits", type=_digits, default=6)
     _add_common(p)
     p.set_defaults(func=_cmd_dominance)
 
@@ -352,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", help="classification, conjecture, monotonicity, reduction, "
                                  "dominance, identity, radius, oracles (numeric aliases accepted)")
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -7,11 +7,11 @@ grown block by block, and the graphs of order n are built as multisets of
 them.  The sweeps here machine-check the classification of max-root
 maximizers, grid monotonicity of t(F(n, m)), the reduction to F, the
 dominance behaviour of the Kelmans shift, the identity and the spectral
-radius of skew matrices, and the library's own oracles.  The identity and
-oracle sweeps walk every labeled edge mask in one loop, _labeled_rows, split
-over processes by _run_shards; all others but the grid run over isomorphism
-classes in one process.  Each sweep returns a VerificationReport; a
-nonempty counterexample list means the claim failed.
+radius of skew matrices, and the library's own oracles.  Every sweep runs in
+the calling process.  The identity and oracle sweeps walk every labeled edge
+mask in one loop, _labeled_rows; all others but the grid run over
+isomorphism classes.  Each sweep returns a VerificationReport; a nonempty
+counterexample list means the claim failed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 import time
 from collections import Counter
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from types import MappingProxyType
@@ -104,15 +103,15 @@ def make_H(n: int) -> Graph:
 # -------------------------------------------------------------- enumeration
 
 
-def _labeled_rows(n: int, shard: int, shards: int):
-    """Yield (edge mask, adjacency rows) of every labeled graph of order n
-    whose mask is congruent to shard modulo shards.  Bit k of the mask is
-    the k-th vertex pair in lexicographic order."""
+def _labeled_rows(n: int):
+    """Yield (edge mask, adjacency rows) of every labeled graph of order n,
+    masks ascending.  Bit k of the mask is the k-th vertex pair in
+    lexicographic order."""
     pairs = []  # (u, v, bit of u, bit of v, bit of the pair in the mask)
     for u in range(n):
         for v in range(u + 1, n):
             pairs.append((u, v, 1 << u, 1 << v, 1 << len(pairs)))
-    for mask in range(shard, 1 << len(pairs), shards):
+    for mask in range(1 << len(pairs)):
         rows = [0] * n
         for u, v, bu, bv, bit in pairs:
             if mask & bit:
@@ -293,21 +292,6 @@ def _report(claim: str, universe: str, checked: int, bad, witnesses, t0: float):
     return VerificationReport(claim, universe, checked, tuple(bad), tuple(witnesses), elapsed)
 
 
-def _run_shards(worker, n: int, threads: int):
-    """Run worker on each of max(1, threads) shards of order n.  Workers
-    return (counterexamples, *values); the result is the sorted
-    counterexamples of all shards and one tuple per value column."""
-    shards = max(1, threads)
-    tasks = [(n, s, shards) for s in range(shards)]
-    if shards == 1:
-        parts = [worker(tasks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            parts = list(pool.map(worker, tasks))
-    bad, *columns = zip(*parts)
-    return sorted(c for shard_bad in bad for c in shard_bad), columns
-
-
 # ------------------------------------------------------- profile census
 
 
@@ -402,13 +386,10 @@ def _claimed_maximizers(n: int, m: int) -> tuple[list[Graph], IntPolynomial]:
     return [make_F(n, m)], _F_quartic(n, m)
 
 
-def verify_classification(n: int, threads: int = 1) -> VerificationReport:
+def verify_classification(n: int) -> VerificationReport:
     """Max-root maximizers per edge count over all labeled odd-cycle graphs
-    of order n: winners, their multiplicity, and closed-form values.
-
-    Runs over isomorphism classes weighted by their labeled copies, so
-    threads is accepted for a uniform signature and ignored.
-    """
+    of order n: winners, their multiplicity, and closed-form values.  Runs
+    over isomorphism classes weighted by their labeled copies."""
     t0 = time.perf_counter()
     _check_order("classification", n)
     bad: list[str] = []
@@ -436,10 +417,10 @@ def verify_classification(n: int, threads: int = 1) -> VerificationReport:
     return _report("classification", universe, checked, bad, notes, t0)
 
 
-def verify_conjecture(n: int, threads: int = 1) -> VerificationReport:
+def verify_conjecture(n: int) -> VerificationReport:
     """H_n is the unique max-root maximizer over all odd-cycle graphs of
     order n, isolated-vertex padding included.  Like verify_classification,
-    runs over isomorphism classes and ignores threads."""
+    runs over isomorphism classes."""
     t0 = time.perf_counter()
     _check_order("conjecture", n)
     census = _order_census(n)
@@ -479,42 +460,46 @@ def verify_conjecture(n: int, threads: int = 1) -> VerificationReport:
 # ----------------------------------------------------------- monotonic grid
 
 
-def verify_monotonicity(n_max: int, threads: int = 1) -> VerificationReport:
+def verify_monotonicity(n_max: int) -> VerificationReport:
     """Strict growth of t(F(n, m)) in m (fixed n) and in n (fixed m >= 4)
     over every grid point where both endpoints are defined, by Sturm
     comparisons; each grid root is also checked against _F_quartic."""
     t0 = time.perf_counter()
     _check_order("monotonicity", n_max)
     bad: list[str] = []
-    points = checked = m4_checked = 0
+    on_quartic = checked = m4_checked = not_strict = 0
     for n in range(2, n_max + 1):
         for m in range(n - 1, edge_cap(n) + 1):
-            points += 1
             root = max_matching_root(make_F(n, m))
-            if root.sign_of(_F_quartic(n, m)) != 0:
+            if root.sign_of(_F_quartic(n, m)) == 0:
+                on_quartic += 1
+            else:
                 bad.append(f"t(F({n},{m})) is not a root of {_F_quartic(n, m).pretty()}")
             if m < edge_cap(n):
                 checked += 1
                 if compare_roots(max_matching_root(make_F(n, m + 1)), root) != GT:
+                    not_strict += 1
                     bad.append(f"t(F({n},{m})) >= t(F({n},{m + 1}))")
             if n < n_max and m >= max(4, n):
                 checked += 1
                 m4_checked += m == 4
                 if compare_roots(max_matching_root(make_F(n + 1, m)), root) != GT:
+                    not_strict += 1
                     bad.append(f"t(F({n},{m})) >= t(F({n + 1},{m}))")
     universe = f"F(n, m) grid, 2 <= n <= {n_max}, both endpoints defined"
-    witness = f"m=4 column pairs checked: {m4_checked}, all strict; {points} roots on their quartic"
+    strict = "all strict" if not not_strict else f"{not_strict} pairs not strict"
+    witness = f"m=4 column pairs checked: {m4_checked}, {strict}; {on_quartic} roots on their quartic"
     return _report("monotonicity", universe, checked, bad, [witness], t0)
 
 
 # -------------------------------------------------------------- reduction
 
 
-def verify_reduction(n: int, threads: int = 1) -> VerificationReport:
+def verify_reduction(n: int) -> VerificationReport:
     """Every connected odd-cycle graph of order n reduces to F(n, m) within
     the step bounds, through valid intermediates, and is strictly dominated
     by its target unless already isomorphic to it.  Runs over isomorphism
-    classes in one process and ignores threads."""
+    classes."""
     t0 = time.perf_counter()
     _check_order("reduction", n)
     classes = connected_odd_cycle_reps(n)
@@ -556,7 +541,7 @@ def verify_reduction(n: int, threads: int = 1) -> VerificationReport:
 # ------------------------------------------------------- kelmans dominance
 
 
-def verify_dominance(n: int, threads: int = 1) -> VerificationReport:
+def verify_dominance(n: int) -> VerificationReport:
     """The Kelmans shift never produces an incomparable pair, and strictly
     dominates unless it only exchanges the labels u and v.  This is stricter
     than "strict whenever the isomorphism class changes": a shift that is not
@@ -564,7 +549,7 @@ def verify_dominance(n: int, threads: int = 1) -> VerificationReport:
     every connected labeled graph of order n and every ordered vertex pair.
     Relabelling g, u and v together changes neither the verdict nor the
     exchange test, so a pair of one graph per connected class stands for
-    n!/|Aut| shifts.  Ignores threads."""
+    n!/|Aut| shifts."""
     t0 = time.perf_counter()
     _check_order("dominance", n)
     bad: list[str] = []
@@ -598,13 +583,16 @@ def verify_dominance(n: int, threads: int = 1) -> VerificationReport:
 # --------------------------------------------------------- skew identity
 
 
-def _identity_worker(args: tuple[int, int, int]):
-    n, shard, shards = args
+def verify_identity(n: int) -> VerificationReport:
+    """Coefficient identity between the skew characteristic polynomial and
+    the unsigned matching-count polynomial: holds for every orientation of
+    every odd-cycle graph of order n, and fails for at least one orientation
+    of every other graph of order n."""
+    t0 = time.perf_counter()
+    _check_order("identity", n)
     bad: list[str] = []
-    orientations = 0
-    evaluated = 0
-    graphs = 0
-    for _, rows in _labeled_rows(n, shard, shards):
+    orientations = evaluated = graphs = 0
+    for _, rows in _labeled_rows(n):
         g = Graph(n, tuple(rows))
         graphs += 1
         target = _identity_target(g)
@@ -629,30 +617,18 @@ def _identity_worker(args: tuple[int, int, int]):
                 f"{write_graph6(g)}: every orientation satisfies the identity "
                 "despite an even cycle"
             )
-    return bad, orientations, graphs, evaluated
-
-
-def verify_identity(n: int, threads: int = 1) -> VerificationReport:
-    """Coefficient identity between the skew characteristic polynomial and
-    the unsigned matching-count polynomial: holds for every orientation of
-    every odd-cycle graph of order n, and fails for at least one orientation
-    of every other graph of order n."""
-    t0 = time.perf_counter()
-    _check_order("identity", n)
-    bad, columns = _run_shards(_identity_worker, n, threads)
-    orientations, graphs, evaluated = map(sum, columns)
     universe = f"all labeled graphs of order {n}, both identity directions"
     witness = (f"n={n}: {graphs} graphs, {orientations} orientations covered, "
                f"{evaluated} switching classes evaluated")
-    return _report("identity", universe, orientations, bad, [witness], t0)
+    return _report("identity", universe, orientations, sorted(bad), [witness], t0)
 
 
-def verify_radius(n: int, threads: int = 1) -> VerificationReport:
+def verify_radius(n: int) -> VerificationReport:
     """Skew spectral radius equals the maximum matching root for every
     orientation of every odd-cycle graph of order n, by exact comparison.
     Relabelling and switching are similarities on the skew matrix, so the
     switching representatives of one graph per isomorphism class stand for
-    its n!/|Aut| * 2^m labeled orientations.  Ignores threads."""
+    its n!/|Aut| * 2^m labeled orientations."""
     t0 = time.perf_counter()
     _check_order("radius", n)
     bad: list[str] = []
@@ -682,16 +658,24 @@ _ORACLE_FULL_MAX_N = 6
 _ORACLE_STRIDE_N7 = 64
 
 
-def _oracle_worker(args: tuple[int, int, int]):
-    n, shard, shards = args
+def verify_oracles(n: int) -> VerificationReport:
+    """Library self-checks on all labeled graphs of order n: matching profiles
+    against the brute-force edge-subset count, graph6 round-trips, and the
+    labeled-versus-structured census of connected odd-cycle graphs, with the
+    labeled side counted in the same pass.
+
+    At n = 7 the brute-force profile comparison runs on a deterministic
+    stride of the universe; the other two checks stay exhaustive.
+    """
+    t0 = time.perf_counter()
+    _check_order("oracles", n)
     stride = 1 if n <= _ORACLE_FULL_MAX_N else _ORACLE_STRIDE_N7
     cap = edge_cap(n)
     full = (1 << n) - 1
     bad: list[str] = []
-    profile_checked = 0
-    roundtrip_checked = 0
-    connected: Counter[int] = Counter()  # connected odd-cycle graphs by edge count
-    for mask, rows in _labeled_rows(n, shard, shards):
+    profile_checked = roundtrip_checked = 0
+    labeled: Counter[int] = Counter()  # connected odd-cycle graphs by edge count
+    for mask, rows in _labeled_rows(n):
         g = Graph(n, tuple(rows))
         roundtrip_checked += 1
         if parse_graph6(write_graph6(g)) != g:
@@ -705,24 +689,8 @@ def _oracle_worker(args: tuple[int, int, int]):
         if (m <= cap and _component_mask(rows, 0, full) == full
                 and all((rows[u] & rows[v]).bit_count() < 2 for u, v in combinations(range(n), 2))
                 and odd_cycle_rows(n, rows)):
-            connected[m] += 1
-    return bad, profile_checked, roundtrip_checked, connected
-
-
-def verify_oracles(n: int, threads: int = 1) -> VerificationReport:
-    """Library self-checks on all labeled graphs of order n: matching profiles
-    against the brute-force edge-subset count, graph6 round-trips, and the
-    labeled-versus-structured census of connected odd-cycle graphs, with the
-    labeled side counted in the same pass.
-
-    At n = 7 the brute-force profile comparison runs on a deterministic
-    stride of the universe; the other two checks stay exhaustive.
-    """
-    t0 = time.perf_counter()
-    _check_order("oracles", n)
-    bad, (profiles, roundtrips, connected) = _run_shards(_oracle_worker, n, threads)
-    profile_checked, roundtrip_checked = sum(profiles), sum(roundtrips)
-    labeled = sum(connected, Counter())
+            labeled[m] += 1
+    bad.sort()  # the walk's failures in sorted order, then the census rows
     structured: Counter[int] = Counter()
     for g, aut in zip(connected_odd_cycle_reps(n), _connected_aut_counts(n)):
         structured[g.m] += math.factorial(n) // aut

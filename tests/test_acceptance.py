@@ -106,7 +106,7 @@ def test_criterion_2_identity_sweep():
     merged = merge_reports(
         "identity",
         "orders 1..6",
-        [verify_identity(n, threads=CORES) for n in range(1, 7)],
+        [verify_identity(n) for n in range(1, 7)],
     )
     if not merged.passed:
         problems.extend(merged.counterexamples[:3])
@@ -127,7 +127,7 @@ def test_criterion_3_radius_orientation_independence():
     merged = merge_reports(
         "radius",
         "orders 1..6",
-        [verify_radius(n, threads=CORES) for n in range(1, 7)],
+        [verify_radius(n) for n in range(1, 7)],
     )
     if not merged.passed:
         problems.extend(merged.counterexamples[:3])
@@ -147,7 +147,7 @@ def test_criterion_4_reduction():
     t0 = time.perf_counter()
     problems: list[str] = []
     class_counts = (1, 1, 2, 3, 8, 17, 47, 122)
-    reports = [verify_reduction(n, threads=CORES) for n in range(1, 9)]
+    reports = [verify_reduction(n) for n in range(1, 9)]
     for n, report, expect in zip(range(1, 9), reports, class_counts):
         if not report.passed:
             problems.extend(report.counterexamples[:3])
@@ -169,7 +169,7 @@ def test_criterion_5_shift_dominance():
     problems: list[str] = []
     shift_counts = (2, 24, 456, 14560, 801120)
     exchange_counts = (0, 6, 144, 4120, 190800)
-    reports = [verify_dominance(n, threads=CORES) for n in range(2, 7)]
+    reports = [verify_dominance(n) for n in range(2, 7)]
     exchanged = 0
     for n, report, shifts, exchanges in zip(range(2, 7), reports, shift_counts, exchange_counts):
         if not report.passed:
@@ -195,7 +195,7 @@ def test_criterion_5_shift_dominance():
 def test_criterion_6_grid_monotonicity():
     t0 = time.perf_counter()
     problems: list[str] = []
-    report = verify_monotonicity(20, threads=CORES)
+    report = verify_monotonicity(20)
     if not report.passed:
         problems.extend(report.counterexamples[:3])
     if report.checked != 170:
@@ -219,8 +219,8 @@ def test_criterion_7_maximizer_census():
     expected_checked = {2: 1, 3: 7, 4: 53, 5: 547, 6: 7563, 7: 133199, 8: 2858587}
     tie_witnesses: dict[int, str] = {}
     for n in range(2, 9):
-        per_size = verify_classification(n, threads=CORES)
-        per_order = verify_conjecture(n, threads=CORES)
+        per_size = verify_classification(n)
+        per_order = verify_conjecture(n)
         for report in (per_size, per_order):
             if not report.passed:
                 problems.extend(report.counterexamples[:3])

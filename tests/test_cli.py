@@ -1,6 +1,5 @@
 import io
 import json
-import os
 import subprocess
 import sys
 import time
@@ -9,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from oddcycle import cli, extremal, verify_radius
-from oddcycle.cli import main, parse_graph_argument, run_verification
+from oddcycle import cli, verify_radius
+from oddcycle.cli import UsageError, main, parse_graph_argument, run_verification
 from oddcycle.extremal import SUITE_ORDERS
 from oddcycle import ReductionInvariantError, cycle_graph, make_F, path_graph, star_graph
 
@@ -123,6 +122,16 @@ def test_maxroot_json_interval_brackets_the_root(capsys):
 
     mpoly = IntPolynomial.from_coeffs([2, 0, -4, 0, 1])
     assert mpoly.sign_at(lo) < 0 < mpoly.sign_at(hi)
+
+
+@pytest.mark.parametrize("digits", ["-1", "-3"])
+@pytest.mark.parametrize(
+    "argv", [("maxroot", "F 5 6"), ("skew", "C 5"), ("dominance", "F 5 6", "C 5")]
+)
+def test_negative_digits_is_bad_input(capsys, argv, digits):
+    code, out, err = run(capsys, *argv, "--digits", digits)
+    assert code == 2 and out == ""
+    assert f"argument --digits: expected an integer >= 0, got '{digits}'" in err
 
 
 # -------------------------------------------------------------------- skew
@@ -264,7 +273,7 @@ def test_verify_rejects_max_n_before_any_order_runs(capsys, monkeypatch, suite, 
 def test_verify_default_max_n_comes_from_the_order_table(monkeypatch):
     seen = []
 
-    def radius(n, threads):
+    def radius(n):
         seen.append(n)
         return verify_radius(1)
 
@@ -274,15 +283,31 @@ def test_verify_default_max_n_comes_from_the_order_table(monkeypatch):
     assert seen == list(range(lo, default + 1))
 
 
-@pytest.mark.parametrize("threads", [0, -1, (os.cpu_count() or 1) + 1])
-def test_verify_rejects_threads_outside_the_core_count(capsys, monkeypatch, threads):
-    def pool(*args, **kwargs):
-        raise AssertionError("a process pool was created")
+def test_verify_has_no_threads_option(capsys, monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("a sweep ran")
 
-    monkeypatch.setattr(extremal, "ProcessPoolExecutor", pool)
-    code, out, err = run(capsys, "verify", "identity", "--max-n", "3", "--threads", str(threads))
+    monkeypatch.setattr(cli, "run_verification", ran)
+    code, out, err = run(capsys, "verify", "identity", "--max-n", "3", "--threads", "2")
     assert code == 2 and out == ""
-    assert err == f"error: --threads must be in 1..{os.cpu_count() or 1}\n"
+    assert "unrecognized arguments: --threads 2" in err
+
+
+def test_run_verification_accepts_only_one_thread():
+    with pytest.raises(UsageError):
+        run_verification("radius", 3, threads=2)
+    rep = run_verification("radius", 3, threads=1)
+    assert rep.passed and rep.witnesses == run_verification("radius", 3).witnesses
+
+
+def test_import_loads_no_process_pool():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import oddcycle\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_readme_suite_table_matches_the_order_table():

@@ -46,6 +46,7 @@ from oddcycle import (
 
 from oddcycle import extremal, reduce_to_F
 from oddcycle.extremal import _odd_cycle_classes
+from oddcycle.roots import LT
 from oddcycle.kelmans import _is_star_plus_matching
 from oracles import connected_labeled_counts, has_even_cycle, labeled_odd_cycle_graphs
 
@@ -332,12 +333,24 @@ def test_monotonicity_checks_each_root_against_its_quartic(monkeypatch):
     )
     wrong = verify_monotonicity(8)
     assert wrong.checked == rep.checked
+    assert wrong.witnesses == ("m=4 column pairs checked: 1, all strict; 0 roots on their quartic",)
     assert len(wrong.counterexamples) == points
     assert all("is not a root of" in c for c in wrong.counterexamples)
     assert wrong.counterexamples[0] == "t(F(2,1)) is not a root of x^4 - 2x^2 + 2"
     # classification reads the same helper
     assert verify_classification(5).counterexamples == tuple(
         f"n=5 m={m}: maximum root differs from the claimed closed form" for m in (4, 5, 6)
+    )
+
+
+def test_monotonicity_witness_counts_the_pairs_that_are_not_strict(monkeypatch):
+    rep = verify_monotonicity(8)
+    monkeypatch.setattr(extremal, "compare_roots", lambda a, b: LT)
+    wrong = verify_monotonicity(8)
+    assert wrong.checked == rep.checked == len(wrong.counterexamples) == 20
+    assert all(" >= " in c for c in wrong.counterexamples)
+    assert wrong.witnesses == (
+        "m=4 column pairs checked: 1, 20 pairs not strict; 19 roots on their quartic",
     )
 
 
@@ -569,19 +582,3 @@ def test_verify_oracles_reports_a_wrong_structured_count(monkeypatch):
     assert rep.counterexamples[-1] == (
         "n=5 m=6: labeled connected count 15 != 120 from structured classes"
     )
-
-
-def test_sharded_runs_match_single_thread():
-    for runner, n in [
-        (verify_identity, 4),
-        (verify_classification, 5),
-        (verify_dominance, 4),
-        (verify_reduction, 6),
-        (verify_radius, 4),
-        (verify_oracles, 4),
-    ]:
-        solo = runner(n, threads=1)
-        duo = runner(n, threads=2)
-        assert solo.checked == duo.checked
-        assert solo.counterexamples == duo.counterexamples
-        assert solo.witnesses == duo.witnesses
