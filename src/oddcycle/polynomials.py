@@ -5,12 +5,20 @@ stays in integers: the sign at a rational point a/d is the sign of the
 homogenised value sum c_k a^k d^(n-k), and root bounds are powers of two.
 Everything downstream (matching polynomials, Sturm chains, characteristic
 polynomials) is built on this type.
+
+Matching polynomials and the alternating forms of skew characteristic
+polynomials have a single parity: p(x) = x^e Q(x^2) with e in {0, 1}.  Each
+polynomial finds that split once, on first use, and keeps it
+(``parity_split``); a sign at a/d is then the sign of Q at (a^2, d^2), times
+sign(a)^e, in half as many Horner steps.  ``roots.py`` asks its root
+questions of Q for the same reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd as _int_gcd
 
 
@@ -129,16 +137,39 @@ class IntPolynomial:
             return self.sign_at_ratio(value, 1)
         return self.sign_at_ratio(value.numerator, value.denominator)
 
+    @cached_property
+    def parity_split(self) -> tuple[int, IntPolynomial] | None:
+        """(e, Q) with self = x^e Q(x^2) and e in {0, 1}, or None when both
+        odd and even powers appear.  The zero polynomial splits as (0, 0)."""
+        coeffs = self.coeffs
+        e = (len(coeffs) - 1) % 2 if coeffs else 0  # the parity of the degree
+        if any(coeffs[1 - e :: 2]):
+            return None
+        return e, IntPolynomial(coeffs[e::2])
+
     def sign_at_ratio(self, num: int, den: int) -> int:
         """Sign of the polynomial at num/den for den > 0, by Horner's rule on
         the homogenised form sum c_k num^k den^(n-k).  The point (1, 0) is
-        +infinity: the form reduces to the leading coefficient there."""
+        +infinity: the form reduces to the leading coefficient there.  For
+        self = x^e Q(x^2) the form is num^e times Q's form at (num^2, den^2)."""
+        coeffs = self.coeffs
+        flip = False
+        split = self.parity_split
+        if split is not None:
+            e, q = split
+            if e:
+                if not num:
+                    return 0
+                flip = num < 0
+            coeffs = q.coeffs
+            num, den = num * num, den * den
         acc = 0
         pw = 1
-        for c in reversed(self.coeffs):
+        for c in reversed(coeffs):
             acc = acc * num + c * pw
             pw *= den
-        return (acc > 0) - (acc < 0)
+        s = (acc > 0) - (acc < 0)
+        return -s if flip else s
 
     def root_bound(self) -> Fraction:
         """A power of two B with every real root strictly inside (-B, B).

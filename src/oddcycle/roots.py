@@ -12,6 +12,15 @@ ties through polynomial GCDs, so no verdict ever rests on floating point.
 The chains use pseudo-remainders with sign tracking to stay in integer
 arithmetic.
 
+Matching polynomials and alternating skew forms have a single parity, and
+every root question is asked at half their degree.  Write p = x^e Q(x^2)
+and Q = y^j Q1(y) with Q1(0) != 0: the distinct real roots of p are 0 when
+e + j > 0 and +-sqrt(s) for each positive root s of Q1.  Root counts then
+come from the Sturm chain of Q1 evaluated at x^2, the squarefree part of p
+from that of Q1, and signs from Q at x^2 (``IntPolynomial.sign_at_ratio``).
+Every interval and every answer is the one the full-degree chain gives;
+polynomials that mix parities keep the chain of p itself.
+
 This module alone decides how narrow an interval is.  ``max_real_root``
 hands out its root refined to width 2^-16, and every question asked of a
 root (its sign under a polynomial, its order against a rational or another
@@ -76,10 +85,77 @@ def _variations(chain, num: int, den: int) -> int:
     return count
 
 
-def _count_roots(chain, lo: Fraction, hi: Fraction | None) -> int:
+def _square_split(p: IntPolynomial) -> tuple[bool, IntPolynomial] | None:
+    """(z, Q1) for p = x^e Q(x^2) and Q = y^j Q1(y) with Q1(0) != 0, where z
+    says whether 0 is a root (e + j > 0); None when p mixes parities."""
+    split = p.parity_split
+    if split is None:
+        return None
+    e, q = split
+    j = next((i for i, c in enumerate(q.coeffs) if c), 0)
+    return e + j > 0, IntPolynomial(q.coeffs[j:])
+
+
+class _RootCounter:
+    """R(x), the number of distinct real roots of p greater than x.
+
+    For p = x^e Q(x^2) the chain is that of Q1 (see ``_square_split``), with
+    V its sign variations at (num^2, den^2):
+
+    - R(x) = V(x^2) - V(inf) for x >= 0;
+    - R(x) = R(0) + z + V(0) - V(x^2) - [Q1(x^2) = 0] for x < 0, since the
+      roots of p below 0 mirror those above it.
+
+    Otherwise the chain is p's own and R(x) = V(x) - V(inf).  Either way the
+    count holds at every x when p is squarefree, and at every x where p
+    does not vanish otherwise.
+    """
+
+    __slots__ = ("chain", "square", "z", "v_inf", "v_zero", "r_zero")
+
+    def __init__(self, p: IntPolynomial):
+        split = _square_split(p)
+        self.square = split is not None
+        self.z, q1 = split if self.square else (False, p)
+        self.chain = _sturm_chain(q1.coeffs)
+        self.v_inf = _variations(self.chain, 1, 0)
+        if self.square:
+            self.v_zero = _variations(self.chain, 0, 1)
+            self.r_zero = self.v_zero - self.v_inf
+
+    def above(self, num: int, den: int) -> int:
+        """R(num/den); (1, 0) means +infinity."""
+        if not self.square:
+            return _variations(self.chain, num, den) - self.v_inf
+        y_num, y_den = num * num, den * den
+        v = _variations(self.chain, y_num, y_den)
+        if num >= 0:
+            return v - self.v_inf
+        on_root = self.chain[0].sign_at_ratio(y_num, y_den) == 0
+        return self.r_zero + self.z + self.v_zero - v - on_root
+
+
+def _count_roots(counter: _RootCounter, lo: Fraction, hi: Fraction | None) -> int:
     """Distinct real roots in (lo, hi]; hi=None means +infinity."""
-    num, den = (1, 0) if hi is None else (hi.numerator, hi.denominator)
-    return _variations(chain, lo.numerator, lo.denominator) - _variations(chain, num, den)
+    above_hi = 0 if hi is None else counter.above(hi.numerator, hi.denominator)
+    return counter.above(lo.numerator, lo.denominator) - above_hi
+
+
+def _squarefree_part(p: IntPolynomial) -> IntPolynomial:
+    """``p.squarefree_part()``, coefficient for coefficient.
+
+    For p = x^e Q(x^2) it is x^z S(x^2) with S the squarefree part of Q1
+    (see ``_square_split``): S(x^2) is squarefree because S(0) != 0, and it
+    keeps S's coefficients, so it is primitive with a positive leading one.
+    """
+    split = _square_split(p)
+    if split is None:
+        return p.squarefree_part()
+    z, q1 = split
+    s = q1.squarefree_part().coeffs
+    coeffs = [0] * (2 * len(s) - 1 + z)
+    coeffs[z::2] = s
+    return IntPolynomial(tuple(coeffs))
 
 
 def _nearest_int(f: Fraction) -> int:
@@ -129,6 +205,8 @@ class AlgebraicRoot:
         across the interval; each step keeps the half where it still does.
         """
         eps = Fraction(eps)
+        if eps <= 0:
+            raise ValueError("refinement width must be positive")
         e_num, e_den = eps.numerator, eps.denominator
         p = self.poly
         d = lcm(self.lo.denominator, self.hi.denominator)
@@ -154,13 +232,13 @@ class AlgebraicRoot:
         Sturm count inside is 1 for a shared root and 0 otherwise.
         """
         g = self.poly.gcd(q)
-        on_root = g.degree >= 1 and _count_roots(_sturm_chain(g.coeffs), self.lo, self.hi) >= 1
-        chain = _sturm_chain(q.coeffs)
+        on_root = g.degree >= 1 and _count_roots(_RootCounter(g), self.lo, self.hi) >= 1
+        counter = _RootCounter(q)
         r = self
         while (
             q.sign_at(r.lo) == 0
             or q.sign_at(r.hi) == 0
-            or _count_roots(chain, r.lo, r.hi) != on_root
+            or _count_roots(counter, r.lo, r.hi) != on_root
         ):
             r = r.halved()
         return on_root, r
@@ -217,24 +295,23 @@ def max_real_root(p: IntPolynomial) -> AlgebraicRoot:
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    sf = p.squarefree_part()
+    sf = _squarefree_part(p)
     if sf.degree < 1:
         raise NoRealRootError("constant polynomial has no roots")
-    chain = _sturm_chain(sf.coeffs)
+    counter = _RootCounter(sf)
     bound = sf.root_bound()
-    # no root lies at or past the bound, so the chain varies there as at +infinity
+    # every root lies strictly inside (-B, B), so none is above B
     a, b, d = -bound.numerator, bound.numerator, bound.denominator
-    v_lo = _variations(chain, a, d)
-    v_hi = _variations(chain, 1, 0)
-    if v_lo == v_hi:
+    r_lo = counter.above(a, d)
+    if not r_lo:
         raise NoRealRootError("no real roots")
-    while v_lo - v_hi > 1:
+    while r_lo > 1:
         c, a, b, d, _ = _split(sf, a, b, d)
-        v_c = _variations(chain, c, d)
-        if v_c > v_hi:
-            a, v_lo = c, v_c
+        r_c = counter.above(c, d)
+        if r_c:
+            a, r_lo = c, r_c
         else:
-            b, v_hi = c, v_c
+            b = c
     return AlgebraicRoot(sf, Fraction(a, d), Fraction(b, d)).refined(_WIDTH)
 
 
@@ -253,7 +330,7 @@ def count_roots_above(p: IntPolynomial, root: AlgebraicRoot) -> int:
     if p.degree < 1:
         return 0
     _, r = root._apart_from(p)
-    return _count_roots(_sturm_chain(p.coeffs), r.hi, None)
+    return _count_roots(_RootCounter(p), r.hi, None)
 
 
 def count_roots_from(p: IntPolynomial, root: AlgebraicRoot) -> int:
@@ -262,24 +339,31 @@ def count_roots_from(p: IntPolynomial, root: AlgebraicRoot) -> int:
     if p.degree < 1:
         return 0
     on_root, r = root._apart_from(p)
-    return on_root + _count_roots(_sturm_chain(p.coeffs), r.hi, None)
+    return on_root + _count_roots(_RootCounter(p), r.hi, None)
 
 
 def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:
-    """Exact order of two algebraic roots: LT (-1), EQ (0) or GT (+1)."""
-    gchain = None  # Sturm chain of gcd(a.poly, b.poly), () when it is constant
+    """Exact order of two algebraic roots: LT (-1), EQ (0) or GT (+1).
+
+    While the intervals overlap, each round halves the wider one, or both
+    when their widths are equal.
+    """
+    gcounter = None  # root counter of gcd(a.poly, b.poly), False when it is constant
     while a.hi > b.lo and b.hi > a.lo:
-        if gchain is None:
+        if gcounter is None:
             g = a.poly.gcd(b.poly)
-            gchain = _sturm_chain(g.coeffs) if g.degree >= 1 else ()
-        if gchain:
-            in_a = _count_roots(gchain, a.lo, a.hi)
-            in_b = _count_roots(gchain, b.lo, b.hi)
+            gcounter = _RootCounter(g) if g.degree >= 1 else False
+        if gcounter:
+            in_a = _count_roots(gcounter, a.lo, a.hi)
+            in_b = _count_roots(gcounter, b.lo, b.hi)
             if in_a >= 1 and in_b >= 1:
                 hull_lo = min(a.lo, b.lo)
                 hull_hi = max(a.hi, b.hi)
-                if _count_roots(gchain, hull_lo, hull_hi) == 1:
+                if _count_roots(gcounter, hull_lo, hull_hi) == 1:
                     return EQ
-        a = a.halved()
-        b = b.halved()
+        wa, wb = a.width, b.width
+        if wa >= wb:
+            a = a.halved()
+        if wb >= wa:
+            b = b.halved()
     return LT if a.hi <= b.lo else GT

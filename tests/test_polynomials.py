@@ -5,8 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oddcycle import IntPolynomial
+from oddcycle.roots import _squarefree_part
 
 from oracles import gcd_reference
+from strategies import parity_points, parity_polys
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=0, max_size=6)
 polys = coeff_lists.map(IntPolynomial.from_coeffs)
@@ -63,6 +65,36 @@ def test_sign_at_matches_evaluation(p, t):
     assert p.sign_at(t) == (val > 0) - (val < 0)
     # an unreduced numerator and denominator give the same sign
     assert p.sign_at_ratio(6 * t.numerator, 6 * t.denominator) == (val > 0) - (val < 0)
+
+
+def test_parity_split():
+    # x^3 - x = x (y - 1) at y = x^2
+    assert IntPolynomial.from_coeffs([0, -1, 0, 1]).parity_split == (1, IntPolynomial((-1, 1)))
+    assert IntPolynomial.from_coeffs([2, 0, 3]).parity_split == (0, IntPolynomial((2, 3)))
+    assert IntPolynomial.from_coeffs([0, 0, 0, 0, 1]).parity_split == (0, IntPolynomial((0, 0, 1)))
+    assert IntPolynomial.from_coeffs([7]).parity_split == (0, IntPolynomial((7,)))
+    assert IntPolynomial.zero().parity_split == (0, IntPolynomial.zero())
+    assert IntPolynomial.from_coeffs([1, 1]).parity_split is None
+    assert IntPolynomial.from_coeffs([1, 0, 0, 1]).parity_split is None
+
+
+@given(st.data())
+def test_sign_at_ratio_on_the_parity_path(data):
+    poly = data.draw(parity_polys())
+    t = data.draw(parity_points(poly))
+    p = poly.p
+    assert p.parity_split is not None
+    for v in (t, -t, Fraction(0)):
+        val = p.evaluate(v)
+        assert p.sign_at_ratio(v.numerator, v.denominator) == (val > 0) - (val < 0)
+        assert p.sign_at_ratio(3 * v.numerator, 3 * v.denominator) == (val > 0) - (val < 0)
+        assert (-p).sign_at(v) == (val < 0) - (val > 0)
+
+
+@given(parity_polys())
+def test_squarefree_part_on_the_parity_path(poly):
+    assert _squarefree_part(poly.p).coeffs == poly.p.squarefree_part().coeffs
+    assert _squarefree_part(-poly.p).coeffs == poly.p.squarefree_part().coeffs
 
 
 @given(nonzero_polys)

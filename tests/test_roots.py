@@ -17,12 +17,17 @@ from oddcycle import (
     count_roots_above,
     count_roots_from,
     cycle_graph,
+    is_odd_cycle_graph,
+    matching_polynomial,
     max_matching_root,
     max_real_root,
     path_graph,
 )
+from oddcycle import roots as roots_module
+from oddcycle.roots import _count_roots, _RootCounter
 
 from oracles import max_real_root_reference, refined_reference, sturm_root_count
+from strategies import parity_points, parity_polys
 
 
 def from_roots(roots) -> IntPolynomial:
@@ -97,6 +102,13 @@ def test_refinement_keeps_the_root():
     assert half.compare_to_rational(1) == GT
 
 
+def test_refined_rejects_a_width_that_is_not_positive():
+    root = max_real_root(X2_MINUS_2)
+    for eps in (0, -1, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            root.refined(eps)
+
+
 def test_sign_of():
     sqrt2 = max_real_root(X2_MINUS_2)
     assert sqrt2.sign_of(X2_MINUS_2) == 0
@@ -148,6 +160,32 @@ def test_compare_roots_takes_the_gcd_only_once_the_intervals_overlap(monkeypatch
     sqrt2_again = max_real_root(IntPolynomial.from_coeffs([4, 0, -4, 0, 1]))
     assert compare_roots(sqrt2, sqrt2_again) == EQ
     assert calls
+
+
+def test_compare_roots_halves_only_the_wider_interval(monkeypatch):
+    widths = []
+    halved = AlgebraicRoot.halved
+
+    def counting(self):
+        widths.append(self.width)
+        return halved(self)
+
+    monkeypatch.setattr(AlgebraicRoot, "halved", counting)
+    narrow = max_real_root(X2_MINUS_2)
+    wide = AlgebraicRoot(X2_MINUS_3, Fraction(0), Fraction(2))
+    # (0, 2) becomes (1, 2), then (3/2, 2), which clears sqrt(2); the
+    # narrow interval around sqrt(2) is never halved
+    assert compare_roots(narrow, wide) == LT
+    assert widths == [2, 1]
+    widths.clear()
+    assert compare_roots(wide, narrow) == GT
+    assert widths == [2, 1]
+    # equal widths: both are halved
+    widths.clear()
+    sqrt2 = AlgebraicRoot(X2_MINUS_2, Fraction(1), Fraction(2))
+    sqrt3 = AlgebraicRoot(X2_MINUS_3, Fraction(1), Fraction(2))
+    assert compare_roots(sqrt2, sqrt3) == LT
+    assert widths == [1, 1]
 
 
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4), st.lists(st.integers(-6, 6), min_size=1, max_size=4))
@@ -288,3 +326,51 @@ def test_isolating_interval_invariants():
     assert root.poly.leading > 0
     assert root.lo < root.hi
     assert sturm_root_count(root.poly, root.lo, root.hi) == 1
+
+
+@given(parity_polys())
+def test_parity_max_real_root_matches_fraction_oracle(poly):
+    p = poly.p
+    try:
+        want = max_real_root_reference(p, WIDTH)
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            max_real_root(p)
+        return
+    got = max_real_root(p)
+    assert got.poly == p.squarefree_part()
+    assert (got.lo, got.hi) == want
+
+
+@given(st.data())
+def test_parity_root_counts(data):
+    poly = data.draw(parity_polys())
+    lo, hi = sorted(data.draw(st.lists(parity_points(poly), min_size=2, max_size=2, unique=True)))
+    p = poly.p
+    # the chain of p counts the distinct roots in (lo, hi) when neither end is a root
+    if p.evaluate(lo) and p.evaluate(hi):
+        assert _count_roots(_RootCounter(p), lo, hi) == sturm_root_count(p, lo, hi)
+    # the chain of a squarefree p counts those in (lo, hi] wherever the ends are
+    sf = p.squarefree_part()
+    counter = _RootCounter(sf)
+    assert _count_roots(counter, lo, hi) == poly.roots_in(lo, hi)
+    assert _count_roots(counter, lo, None) == poly.roots_in(lo, p.root_bound())
+
+
+def test_matching_roots_ask_for_chains_of_half_the_degree(cold_memos, monkeypatch):
+    # thirteen triangles in a row, then a path: a cactus of order 40
+    edges = [e for i in range(0, 26, 2) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))]
+    edges += [(v, v + 1) for v in range(26, 39)]
+    g = Graph.from_edges(40, edges)
+    assert is_odd_cycle_graph(g)
+    assert matching_polynomial(g).degree == 40
+    degrees = []
+    chain = roots_module._sturm_chain
+
+    def recording(coeffs):
+        degrees.append(len(coeffs) - 1)
+        return chain(coeffs)
+
+    monkeypatch.setattr(roots_module, "_sturm_chain", recording)
+    max_matching_root(g).decimal_str(12)
+    assert degrees and max(degrees) <= 20
