@@ -27,7 +27,6 @@ from .extremal import (
     verify_dominance,
     verify_identity,
     verify_monotonicity,
-    verify_oracles,
     verify_radius,
     verify_reduction,
 )
@@ -280,7 +279,6 @@ def run_verification(suite: str, max_n: int | None, threads: int = 1) -> Verific
         "dominance": verify_dominance,
         "identity": verify_identity,
         "radius": verify_radius,
-        "oracles": verify_oracles,
     }
     name = _ALIASES.get(suite, suite)
     runner = runners.get(name)
@@ -362,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dominance)
 
     p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument("suite", help="classification, conjecture, monotonicity, reduction, "
-                                 "dominance, identity, radius, oracles (numeric aliases accepted)")
+    p.add_argument("suite", help=", ".join(SUITE_ORDERS) + " (numeric aliases accepted)")
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
     _add_common(p)
     p.set_defaults(func=_cmd_verify)

@@ -6,12 +6,12 @@ edge-maximal member F(n, floor(3(n-1)/2)).  Connected odd-cycle classes are
 grown block by block, and the graphs of order n are built as multisets of
 them.  The sweeps here machine-check the classification of max-root
 maximizers, grid monotonicity of t(F(n, m)), the reduction to F, the
-dominance behaviour of the Kelmans shift, the identity and the spectral
-radius of skew matrices, and the library's own oracles.  Every sweep runs in
-the calling process.  The identity and oracle sweeps walk every labeled edge
-mask in one loop, _labeled_rows; all others but the grid run over
-isomorphism classes.  Each sweep returns a VerificationReport; a nonempty
-counterexample list means the claim failed.
+dominance behaviour of the Kelmans shift, and the identity and the spectral
+radius of skew matrices.  Every sweep runs in the calling process.  The
+identity sweep is the only one that walks every labeled edge mask, in
+_labeled_rows; all others but the grid run over isomorphism classes.  Each
+sweep returns a VerificationReport; a nonempty counterexample list means the
+claim failed.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ import time
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from types import MappingProxyType
 
 from .graphs import (
     Graph,
     GraphTooLargeError,
-    _component_mask,
     automorphism_count,
     complete_graph,
     cycle_graph,
@@ -38,7 +37,6 @@ from .graphs import (
     is_odd_cycle_graph,
     iter_bits,
     odd_cycle_rows,
-    parse_graph6,
     star_graph,
     write_graph6,
 )
@@ -50,7 +48,7 @@ from .kelmans import (
     kelmans_transform,
     reduce_to_F,
 )
-from .matching import matching_profile, matching_profile_bruteforce, polynomial_from_profile
+from .matching import matching_profile, polynomial_from_profile
 from .polynomials import IntPolynomial
 from .roots import EQ, GT, AlgebraicRoot, compare_roots, max_matching_root, max_real_root
 from .skew import Orientation, SwitchingClasses, _identity_target, skew_char_poly, skew_spectral_radius
@@ -67,7 +65,6 @@ SUITE_ORDERS = {
     "dominance": (2, 6, 5),
     "identity": (1, 6, 5),
     "radius": (1, 6, 5),
-    "oracles": (1, 7, 5),
 }
 
 
@@ -649,61 +646,3 @@ def verify_radius(n: int) -> VerificationReport:
     witness = (f"n={n}: {graphs} graphs, {orientations} orientations covered, "
                f"{evaluated} switching classes evaluated")
     return _report("radius", universe, orientations, bad, [witness], t0)
-
-
-# --------------------------------------------------------------- oracles
-
-
-_ORACLE_FULL_MAX_N = 6
-_ORACLE_STRIDE_N7 = 64
-
-
-def verify_oracles(n: int) -> VerificationReport:
-    """Library self-checks on all labeled graphs of order n: matching profiles
-    against the brute-force edge-subset count, graph6 round-trips, and the
-    labeled-versus-structured census of connected odd-cycle graphs, with the
-    labeled side counted in the same pass.
-
-    At n = 7 the brute-force profile comparison runs on a deterministic
-    stride of the universe; the other two checks stay exhaustive.
-    """
-    t0 = time.perf_counter()
-    _check_order("oracles", n)
-    stride = 1 if n <= _ORACLE_FULL_MAX_N else _ORACLE_STRIDE_N7
-    cap = edge_cap(n)
-    full = (1 << n) - 1
-    bad: list[str] = []
-    profile_checked = roundtrip_checked = 0
-    labeled: Counter[int] = Counter()  # connected odd-cycle graphs by edge count
-    for mask, rows in _labeled_rows(n):
-        g = Graph(n, tuple(rows))
-        roundtrip_checked += 1
-        if parse_graph6(write_graph6(g)) != g:
-            bad.append(f"mask {mask:#x}: graph6 round-trip changed the graph")
-        if mask % stride == 0:
-            profile_checked += 1
-            if matching_profile(g).counts != matching_profile_bruteforce(g).counts:
-                bad.append(f"{write_graph6(g)}: matching profile disagrees with brute force")
-        m = mask.bit_count()
-        # two vertices with two common neighbours close a 4-cycle: no block walk
-        if (m <= cap and _component_mask(rows, 0, full) == full
-                and all((rows[u] & rows[v]).bit_count() < 2 for u, v in combinations(range(n), 2))
-                and odd_cycle_rows(n, rows)):
-            labeled[m] += 1
-    bad.sort()  # the walk's failures in sorted order, then the census rows
-    structured: Counter[int] = Counter()
-    for g, aut in zip(connected_odd_cycle_reps(n), _connected_aut_counts(n)):
-        structured[g.m] += math.factorial(n) // aut
-    cross_checked = edge_cap(n) + 1
-    for m in range(cross_checked):
-        if labeled[m] != structured[m]:
-            bad.append(
-                f"n={n} m={m}: labeled connected count {labeled[m]} != "
-                f"{structured[m]} from structured classes"
-            )
-    stride_note = "full" if n <= _ORACLE_FULL_MAX_N else f"1/{_ORACLE_STRIDE_N7} stride"
-    universe = f"all labeled graphs of order {n} ({stride_note} profile check)"
-    witness = (f"n={n}: {profile_checked} profiles, {roundtrip_checked} round-trips, "
-               f"{cross_checked} census rows")
-    checked = profile_checked + roundtrip_checked + cross_checked
-    return _report("oracles", universe, checked, bad, [witness], t0)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import combinations
 from math import comb
 
 from .graphs import Graph, iter_bits
@@ -118,26 +117,3 @@ def polynomial_from_profile(counts, n: int, signed: bool = True) -> IntPolynomia
 def matching_polynomial(g: Graph) -> IntPolynomial:
     """Signed matching polynomial sum_k (-1)^k m_k x^(n-2k), monic, degree n."""
     return polynomial_from_profile(matching_profile(g).counts, g.n, signed=True)
-
-
-def matching_profile_bruteforce(g: Graph) -> MatchingProfile:
-    """Independent oracle: try every edge subset, keep the pairwise-disjoint ones.
-
-    Subsets larger than n//2 edges cannot be pairwise disjoint (each disjoint
-    edge covers two fresh vertices), so sizes are capped there.
-    """
-    emasks = [(1 << u) | (1 << v) for u, v in g.edge_list()]
-    counts = [1] + [0] * (g.n // 2)
-    for k in range(1, g.n // 2 + 1):
-        total = 0
-        for combo in combinations(emasks, k):
-            acc = 0
-            for em in combo:
-                if acc & em:
-                    break
-                acc |= em
-            else:
-                total += 1
-        counts[k] = total
-    return MatchingProfile(tuple(counts))
-

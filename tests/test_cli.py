@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import subprocess
@@ -253,7 +254,6 @@ def test_verify_usage_errors(capsys):
     "suite,max_n,message",
     [
         ("dominance", 7, "suite dominance needs 2 <= --max-n <= 6"),
-        ("oracles", 8, "suite oracles needs 1 <= --max-n <= 7"),
         ("3.7", 1, "suite dominance needs 2 <= --max-n <= 6"),
     ],
 )
@@ -308,6 +308,37 @@ def test_import_loads_no_process_pool():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_verify_help_and_unknown_suite_follow_the_order_table(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    words = {word.strip(",") for word in out.split()}
+    assert set(SUITE_ORDERS) <= words
+    code, out, err = run(capsys, "verify", "oracles")
+    assert code == 2 and out == ""
+    assert err == "error: unknown verification suite 'oracles'\n"
+
+
+def test_package_modules_use_every_name_they_import():
+    # __init__.py only re-exports, so its imports are its API
+    package = Path(cli.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
 
 
 def test_readme_suite_table_matches_the_order_table():

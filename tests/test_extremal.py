@@ -38,7 +38,6 @@ from oddcycle import (
     verify_dominance,
     verify_identity,
     verify_monotonicity,
-    verify_oracles,
     verify_radius,
     verify_reduction,
     write_graph6,
@@ -559,26 +558,3 @@ def test_orientation_sweep_counts(max_n, identity, radius):
     assert sum(r.checked for r in idents) == identity
     assert sum(r.checked for r in radii) == radius
     assert "switching classes evaluated" in radii[-1].witnesses[0]
-
-
-def test_verify_oracles_small():
-    rep = verify_oracles(4)
-    assert rep.passed
-    assert rep.claim == "oracles"
-    assert rep.witnesses == ("n=4: 64 profiles, 64 round-trips, 5 census rows",)
-    assert rep.checked == 64 + 64 + 5
-
-
-def test_verify_oracles_reports_a_wrong_structured_count(monkeypatch):
-    # |Aut| = 1 for every class claims n! labeled copies of each
-    n = 5
-    monkeypatch.setattr(
-        extremal, "_connected_aut_counts", lambda k: (1,) * len(connected_odd_cycle_reps(k))
-    )
-    rep = verify_oracles(n)
-    # the classes with edges sit at m = 4, 5, 6; the bowtie has |Aut| = 8
-    assert [c.split(":")[0] for c in rep.counterexamples] == ["n=5 m=4", "n=5 m=5", "n=5 m=6"]
-    assert all("labeled connected count" in c for c in rep.counterexamples)
-    assert rep.counterexamples[-1] == (
-        "n=5 m=6: labeled connected count 15 != 120 from structured classes"
-    )

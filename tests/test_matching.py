@@ -12,7 +12,6 @@ from oddcycle import (
     disjoint_union,
     matching_polynomial,
     matching_profile,
-    matching_profile_bruteforce,
     max_matching_root,
     path_graph,
     polynomial_from_profile,
@@ -70,14 +69,12 @@ def test_profile_exhaustive_against_reference(n):
     for g in all_graphs(n):
         want = matchings_by_size_reference(g.n, g.edge_list())
         assert matching_profile(g).counts == want
-        assert matching_profile_bruteforce(g).counts == want
 
 
 @given(graphs(min_n=6, max_n=7))
 def test_profile_sampled_against_reference(g):
     want = matchings_by_size_reference(g.n, g.edge_list())
     assert matching_profile(g).counts == want
-    assert matching_profile_bruteforce(g).counts == want
 
 
 @pytest.mark.parametrize("s", range(11))
