@@ -2,8 +2,10 @@
 
 Vertices are 0..n-1 with n <= 64, so every adjacency row fits in a single
 machine word and induced subgraphs are plain vertex masks.  Includes
-connectivity, biconnected blocks, the all-cycles-odd test, long-odd-cycle
-extraction and a refinement-plus-backtracking isomorphism test for small n.
+connectivity, the all-cycles-odd test, one biconnected-block walk that
+gives the component count and long odd cycles of a graph whose blocks are
+edges and odd cycles, and a refinement-plus-backtracking isomorphism test
+for small n.
 """
 
 from __future__ import annotations
@@ -286,21 +288,10 @@ def is_connected(g: Graph) -> bool:
 # ------------------------------------------------------------------- blocks
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Biconnected blocks (as edge frozensets partitioning E) and cut vertices."""
-
-    blocks: tuple[frozenset[tuple[int, int]], ...]
-    cut_vertices: frozenset[int]
-
-
 def _blocks(n: int, adj):
-    """Iterative Tarjan walk: yield (edges, cut) as each block closes.
-
-    edges lists the block's edges as (u, v) pairs.  cut is the vertex the
-    block closes at if the walk has by then shown it to be a cut vertex, else
-    -1; every cut vertex is reported with at least one of its blocks.
-    """
+    """Iterative Tarjan walk: yield each biconnected block's edges, as a list
+    of (u, v) pairs, when the block closes.  Isolated vertices belong to no
+    block."""
     disc = [0] * n
     low = [0] * n
     # where the tree edge into each vertex sits on the edge stack
@@ -312,7 +303,6 @@ def _blocks(n: int, adj):
             continue
         disc[root] = low[root] = timer
         timer += 1
-        root_children = 0
         stack = [(root, adj[root])]
         while stack:
             v, rem = stack[-1]
@@ -325,8 +315,6 @@ def _blocks(n: int, adj):
                     estack.append((v, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    if v == root:
-                        root_children += 1
                     stack.append((w, adj[w] & ~(1 << v)))
                 elif disc[w] < disc[v]:
                     estack.append((v, w))
@@ -342,56 +330,35 @@ def _blocks(n: int, adj):
                 if low[v] >= disc[u]:
                     edges = estack[entry[v]:]
                     del estack[entry[v]:]
-                    yield edges, u if u != root or root_children >= 2 else -1
+                    yield edges
 
 
-def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Biconnected components; isolated vertices belong to no block."""
-    blocks = []
-    cuts = set()
-    for edges, cut in _blocks(g.n, g.adj):
-        blocks.append(frozenset((min(u, v), max(u, v)) for u, v in edges))
-        if cut >= 0:
-            cuts.add(cut)
-    return BlockDecomposition(tuple(blocks), frozenset(cuts))
+def _bad_block(edges) -> bool:
+    """True unless the block is a single edge or an odd cycle, i.e. unless
+    it has one edge, or e edges on exactly e vertices with e odd."""
+    e = len(edges)
+    if e == 1:
+        return False
+    if e % 2 == 0:
+        return True
+    vmask = 0
+    for u, v in edges:
+        vmask |= (1 << u) | (1 << v)
+    return vmask.bit_count() != e
 
 
 def is_odd_cycle_graph(g: Graph) -> bool:
-    """True iff every cycle of g is odd.
-
-    Equivalent block form (used here): every biconnected block is a single
-    edge or an odd cycle, i.e. a block with e >= 2 edges has exactly e
-    vertices and e is odd.  Early-exits on the first bad block.
-    """
+    """True iff every cycle of g is odd, i.e. every biconnected block is a
+    single edge or an odd cycle.  Early-exits on the first bad block."""
     return odd_cycle_rows(g.n, g.adj)
 
 
 def odd_cycle_rows(n: int, adj) -> bool:
     """is_odd_cycle_graph on a raw adjacency row sequence; hot-loop entry."""
-    for edges, _ in _blocks(n, adj):
-        e = len(edges)
-        if e >= 2:
-            if e % 2 == 0:
-                return False
-            vmask = 0
-            for u, v in edges:
-                vmask |= (1 << u) | (1 << v)
-            if vmask.bit_count() != e:
-                return False
-    return True
+    return not any(map(_bad_block, _blocks(n, adj)))
 
 
-@dataclass(frozen=True)
-class LongOddCycleSet:
-    """Cycle blocks of odd length >= 5, each in canonical cyclic vertex order."""
-
-    cycles: tuple[tuple[int, ...], ...]
-
-    def edge_count(self) -> int:
-        return sum(len(c) for c in self.cycles)
-
-
-def _cycle_order(block: frozenset[tuple[int, int]]) -> tuple[int, ...]:
+def _cycle_order(block) -> tuple[int, ...]:
     neigh: dict[int, list[int]] = {}
     for u, v in block:
         neigh.setdefault(u, []).append(v)
@@ -409,19 +376,25 @@ def _cycle_order(block: frozenset[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(order)
 
 
-def long_odd_cycles(g: Graph) -> LongOddCycleSet:
-    """Odd cycle blocks with at least 5 edges, sorted lexicographically."""
+def long_odd_cycles(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    """Shape of g from one block walk: None if some block is neither an edge
+    nor an odd cycle, else (components, cycles).
+
+    cycles lists the odd cycle blocks with at least 5 edges, each from its
+    smallest vertex toward its smaller neighbour, sorted lexicographically.
+    components follows from sum over blocks B of (|V(B)| - 1) = n - c: an
+    edge block adds 1 and an odd cycle of e edges adds e - 1.
+    """
+    joined = 0
     cycles = []
-    for blk in block_decomposition(g).blocks:
-        if len(blk) < 5 or len(blk) % 2 == 0:
-            continue
-        verts = set()
-        for u, v in blk:
-            verts.add(u)
-            verts.add(v)
-        if len(verts) == len(blk):
-            cycles.append(_cycle_order(blk))
-    return LongOddCycleSet(tuple(sorted(cycles)))
+    for edges in _blocks(g.n, g.adj):
+        if _bad_block(edges):
+            return None
+        e = len(edges)
+        joined += 1 if e == 1 else e - 1
+        if e >= 5:
+            cycles.append(_cycle_order(edges))
+    return g.n - joined, tuple(sorted(cycles))
 
 
 # ------------------------------------------------------------- isomorphism

@@ -4,7 +4,10 @@ and an exact matching-polynomial dominance comparison.
 The transformation picks a beneficiary u and a co-beneficiary v and moves
 every edge vw with w outside N(u) ∪ {u} over to uw.  Repeated shifts drive a
 connected graph whose blocks are edges and odd cycles down to the canonical
-form F(n, m): a star on vertex 0 plus a matching among the leaves.
+form F(n, m): a star on vertex 0 plus a matching among the leaves.  The
+reduction walks the blocks of each graph it sees once, with
+``graphs.long_odd_cycles``: that one walk shows the graph is connected and
+has only edges and odd cycles as blocks, and names the next long cycle.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graphs import Graph, is_connected, is_odd_cycle_graph, iter_bits, long_odd_cycles, write_graph6
+from .graphs import Graph, is_connected, iter_bits, long_odd_cycles, write_graph6
 from .matching import matching_polynomial
 from .roots import count_roots_above, count_roots_from, max_matching_root
 from .polynomials import IntPolynomial
@@ -131,11 +134,16 @@ def kelmans_transform(
     return out, step
 
 
-def _check_intermediate(g: Graph, context: str) -> None:
-    if not is_connected(g):
-        raise ReductionInvariantError(f"{context}: graph became disconnected")
-    if not is_odd_cycle_graph(g):
+def _intermediate_cycles(g: Graph, context: str) -> tuple[tuple[int, ...], ...]:
+    """The long odd cycles of an intermediate graph, read from its one block
+    walk, which also shows that g is still connected and still has only
+    edges and odd cycles as blocks."""
+    shape = long_odd_cycles(g)
+    if shape is None:
         raise ReductionInvariantError(f"{context}: a block stopped being an edge or odd cycle")
+    if shape[0] != 1:
+        raise ReductionInvariantError(f"{context}: graph became disconnected")
+    return shape[1]
 
 
 def _is_star_plus_matching(g: Graph) -> bool:
@@ -169,31 +177,31 @@ def reduce_to_F(g: Graph) -> ReductionTrace:
     shift with beneficiary u and co-beneficiary w.  The beneficiary degree
     grows every time, so at most n - 1 shifts happen.
     """
-    if not is_connected(g):
-        raise ValueError("reduction needs a connected graph")
-    if not is_odd_cycle_graph(g):
+    shape = long_odd_cycles(g)
+    # a graph that fails both tests is reported as disconnected
+    if shape is None and is_connected(g):
         raise ValueError("reduction needs every block to be an edge or odd cycle")
+    if shape is None or shape[0] != 1:
+        raise ValueError("reduction needs a connected graph")
     n, m = g.n, g.m
     steps: list[tuple[KelmansStep, Graph]] = []
-    cur = g
+    cur, cycles = g, shape[1]
 
     long_steps = 0
-    lset = long_odd_cycles(cur)
-    while lset.cycles:
-        cycle = lset.cycles[0]
+    while cycles:
+        cycle = cycles[0]
         u, v = cycle[0], cycle[2]
         nxt, step = kelmans_transform(cur, u, v, phase=KelmansPhase.LONG_CYCLE)
         long_steps += 1
-        _check_intermediate(nxt, "long-cycle phase")
+        after = _intermediate_cycles(nxt, "long-cycle phase")
         if nxt.m != m:
             raise ReductionInvariantError("long-cycle phase: edge count changed")
-        after = long_odd_cycles(nxt)
-        if after.edge_count() > lset.edge_count() - 2:
+        if sum(map(len, after)) > sum(map(len, cycles)) - 2:
             raise ReductionInvariantError("long-cycle phase: cycle edges dropped by less than two")
-        if len(after.cycles) not in (len(lset.cycles), len(lset.cycles) - 1):
+        if len(after) not in (len(cycles), len(cycles) - 1):
             raise ReductionInvariantError("long-cycle phase: cycle count changed by more than one")
         steps.append((step, nxt))
-        cur, lset = nxt, after
+        cur, cycles = nxt, after
     if long_steps and 2 * long_steps >= m:
         raise ReductionInvariantError("long-cycle phase exceeded its m/2 step bound")
 
@@ -217,7 +225,7 @@ def reduce_to_F(g: Graph) -> ReductionTrace:
             raise ReductionInvariantError("degree-lift phase exceeded its n - 1 step bound")
         if nxt.degree(u) <= dmax:
             raise ReductionInvariantError("degree-lift phase: beneficiary degree did not grow")
-        _check_intermediate(nxt, "degree-lift phase")
+        _intermediate_cycles(nxt, "degree-lift phase")
         if nxt.m != m:
             raise ReductionInvariantError("degree-lift phase: edge count changed")
         steps.append((step, nxt))

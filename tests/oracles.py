@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here deliberately uses different machinery from the library:
-direct bit-string assembly for graph6, simple-path enumeration for even
-cycles, Laplace expansion for characteristic polynomials, frozenset
-bookkeeping for matching counts, numpy subset tests for the bulk matching
-census, edge-subset combinations for the labeled odd-cycle enumeration, the
+direct bit-string assembly for graph6, simple-path enumeration for cycles,
+Laplace expansion for characteristic polynomials, frozenset bookkeeping for
+matching counts, numpy subset tests for the bulk matching census,
+edge-subset combinations filtered by the odd, edge-disjoint fundamental
+cycles of a BFS spanning forest for the labeled odd-cycle enumeration, the
 exponential transform of 2^C(n,2) for connected labeled counts, and
 Fraction arithmetic for root bisection, Sturm counts and dominance.  Slow
 is fine; these exist to be obviously right.  The two identity checks at the end are the
@@ -28,7 +29,6 @@ from oddcycle import (
     edge_cap,
     matching_polynomial,
 )
-from oddcycle.graphs import _component_mask, odd_cycle_rows
 from oddcycle.roots import _sturm_chain
 
 LABELED_MAX_N = 9
@@ -59,33 +59,38 @@ def graph6_reference(n: int, edges) -> str:
     return "".join(out)
 
 
-def has_even_cycle(n: int, edges) -> bool:
-    """Search every simple cycle for one of even length.
+def simple_cycles(n: int, edges):
+    """Yield every simple cycle once, as its vertex sequence from its
+    smallest vertex toward the smaller of that vertex's two cycle neighbours.
 
     Cycles are enumerated from their smallest vertex by depth-first simple
     paths restricted to larger vertices; an edge back to the start closes a
-    cycle whose length is the current path length.
+    cycle, kept in the direction whose second vertex is below its last.
     """
     nbrs = [set() for _ in range(n)]
     for u, v in edges:
         nbrs[u].add(v)
         nbrs[v].add(u)
 
-    def walk(start: int, path: list[int], on_path: set[int]) -> bool:
+    def walk(start: int, path: list[int], on_path: set[int]):
         cur = path[-1]
-        for w in nbrs[cur]:
-            if w == start and len(path) >= 3 and len(path) % 2 == 0:
-                return True
+        for w in sorted(nbrs[cur]):
+            if w == start and len(path) >= 3 and path[1] < cur:
+                yield tuple(path)
             if w > start and w not in on_path:
                 path.append(w)
                 on_path.add(w)
-                if walk(start, path, on_path):
-                    return True
+                yield from walk(start, path, on_path)
                 on_path.remove(w)
                 path.pop()
-        return False
 
-    return any(walk(s, [s], {s}) for s in range(n))
+    for s in range(n):
+        yield from walk(s, [s], {s})
+
+
+def has_even_cycle(n: int, edges) -> bool:
+    """Search every simple cycle for one of even length."""
+    return any(len(c) % 2 == 0 for c in simple_cycles(n, edges))
 
 
 def _poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -356,6 +361,62 @@ def bulk_matching_profiles(n: int):
     return pairs, counts
 
 
+def _odd_cycle_components(n: int, rows) -> int | None:
+    """Component count of the graph with these adjacency rows, or None if it
+    has an even cycle.
+
+    A BFS spanning forest gives each non-tree edge uw a fundamental cycle of
+    length depth(u) + depth(w) + 1 - 2 depth(lca), odd exactly when u and w
+    have equal depth parity.  The graph has no even cycle iff every such
+    cycle is odd and no two share an edge: two cycles through a common edge
+    contain a theta, and every theta has an even cycle, while edge-disjoint
+    odd fundamental cycles leave every cycle equal to one of them.
+    """
+    depth = [0] * n
+    parent = [-1] * n
+    # tree[v]: v's tree neighbours as a bitmask
+    tree = [0] * n
+    seen = components = 0
+    for root in range(n):
+        if (seen >> root) & 1:
+            continue
+        components += 1
+        seen |= 1 << root
+        queue = [root]
+        for u in queue:
+            new = rows[u] & ~seen
+            seen |= new
+            tree[u] |= new
+            while new:
+                bit = new & -new
+                new ^= bit
+                w = bit.bit_length() - 1
+                depth[w] = depth[u] + 1
+                parent[w] = u
+                tree[w] |= 1 << u
+                queue.append(w)
+    # bit v of on_cycle: the tree edge from v to its parent lies on a cycle
+    on_cycle = 0
+    for u in range(n):
+        # the non-tree edges uw with w > u
+        extra = rows[u] & ~tree[u] & -(2 << u)
+        while extra:
+            bit = extra & -extra
+            extra ^= bit
+            w = bit.bit_length() - 1
+            if (depth[u] + depth[w]) % 2:
+                return None
+            a, b = u, w
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                if (on_cycle >> a) & 1:
+                    return None
+                on_cycle |= 1 << a
+                a = parent[a]
+    return components
+
+
 def labeled_odd_cycle_graphs(n: int, connected_only: bool = False):
     """Stream every labeled odd-cycle graph of order n.
 
@@ -366,16 +427,14 @@ def labeled_odd_cycle_graphs(n: int, connected_only: bool = False):
         raise GraphTooLargeError(f"labeled sweep limited to n <= {LABELED_MAX_N}")
     pairs = [(u, v, 1 << u, 1 << v) for u in range(n) for v in range(u + 1, n)]
     cap = min(edge_cap(n), len(pairs))
-    full = (1 << n) - 1
     for m in range(cap + 1):
         for combo in combinations(pairs, m):
             rows = [0] * n
             for u, v, bu, bv in combo:
                 rows[u] |= bv
                 rows[v] |= bu
-            if not odd_cycle_rows(n, rows):
-                continue
-            if connected_only and _component_mask(rows, 0, full) != full:
+            components = _odd_cycle_components(n, rows)
+            if components is None or connected_only and components != 1:
                 continue
             yield Graph(n, tuple(rows))
 

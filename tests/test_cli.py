@@ -341,6 +341,21 @@ def test_package_modules_use_every_name_they_import():
     assert unused == []
 
 
+def test_package_exports_are_sorted_and_are_its_imports():
+    import oddcycle
+
+    tree = ast.parse(Path(oddcycle.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert oddcycle.__all__ == sorted(oddcycle.__all__)
+    assert set(oddcycle.__all__) == imported
+    assert len(oddcycle.__all__) == len(imported)
+
+
 def test_readme_suite_table_matches_the_order_table():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = text.split("### Verification sweeps", 1)[1].split("\n## ", 1)[0]

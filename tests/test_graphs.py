@@ -9,7 +9,6 @@ from oddcycle import (
     Graph6Error,
     GraphTooLargeError,
     automorphism_count,
-    block_decomposition,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -23,10 +22,11 @@ from oddcycle import (
     star_graph,
     write_graph6,
 )
+from oddcycle.graphs import _blocks
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
-from oracles import graph6_reference, has_even_cycle
+from oracles import graph6_reference, has_even_cycle, simple_cycles
 
 
 @st.composite
@@ -223,27 +223,7 @@ def test_components():
 # ------------------------------------------------------------------- blocks
 
 
-def test_block_decomposition_examples():
-    bd = block_decomposition(BOWTIE)
-    assert set(bd.blocks) == {
-        frozenset({(0, 1), (0, 2), (1, 2)}),
-        frozenset({(0, 3), (0, 4), (3, 4)}),
-    }
-    assert bd.cut_vertices == {0}
-
-    bd = block_decomposition(path_graph(4))
-    assert set(bd.blocks) == {frozenset({(0, 1)}), frozenset({(1, 2)}), frozenset({(2, 3)})}
-    assert bd.cut_vertices == {1, 2}
-
-    bd = block_decomposition(cycle_graph(5))
-    assert len(bd.blocks) == 1 and len(bd.blocks[0]) == 5
-    assert bd.cut_vertices == frozenset()
-
-    bd = block_decomposition(Graph.empty(3))
-    assert bd.blocks == () and bd.cut_vertices == frozenset()
-
-
-def _component_count(n, edges, skip=None):
+def _component_count(n, edges):
     parent = list(range(n))
 
     def find(x):
@@ -253,57 +233,67 @@ def _component_count(n, edges, skip=None):
         return x
 
     for u, v in edges:
-        if u == skip or v == skip:
-            continue
         parent[find(u)] = find(v)
-    return len({find(v) for v in range(n) if v != skip})
+    return len({find(v) for v in range(n)})
 
 
 @given(graphs(min_n=2))
-def test_block_partition_and_cut_vertices(g):
-    bd = block_decomposition(g)
+def test_blocks_partition_the_edges(g):
     seen: set[tuple[int, int]] = set()
-    for blk in bd.blocks:
+    for edges in _blocks(g.n, g.adj):
+        blk = {(min(u, v), max(u, v)) for u, v in edges}
+        assert len(blk) == len(edges)
         assert not (blk & seen)
         seen |= blk
     assert seen == set(g.edge_list())
-    base = _component_count(g.n, g.edge_list())
-    expected_cuts = {
-        v
-        for v in range(g.n)
-        if g.degree(v) > 0 and _component_count(g.n, g.edge_list(), skip=v) > base
-    }
-    assert bd.cut_vertices == expected_cuts
 
 
 # --------------------------------------------------------- odd cycle graphs
 
 
+def _check_block_shape(g):
+    """is_odd_cycle_graph and long_odd_cycles against the brute-force cycle
+    enumeration and the union-find component count."""
+    even = has_even_cycle(g.n, g.edge_list())
+    assert is_odd_cycle_graph(g) == (not even)
+    shape = long_odd_cycles(g)
+    assert (shape is None) == even
+    if shape is not None:
+        long = sorted(c for c in simple_cycles(g.n, g.edge_list()) if len(c) >= 5)
+        assert shape == (_component_count(g.n, g.edge_list()), tuple(long))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_odd_cycle_graph_exhaustive(n):
     for g in all_graphs(n):
-        assert is_odd_cycle_graph(g) == (not has_even_cycle(g.n, g.edge_list()))
+        _check_block_shape(g)
 
 
 @given(graphs(min_n=6, max_n=7))
 def test_odd_cycle_graph_sampled(g):
-    assert is_odd_cycle_graph(g) == (not has_even_cycle(g.n, g.edge_list()))
+    _check_block_shape(g)
 
 
 def test_long_odd_cycles():
-    assert long_odd_cycles(cycle_graph(5)).cycles == ((0, 1, 2, 3, 4),)
-    assert long_odd_cycles(cycle_graph(7)).cycles == ((0, 1, 2, 3, 4, 5, 6),)
-    assert long_odd_cycles(complete_graph(3)).cycles == ()
-    assert long_odd_cycles(BOWTIE).cycles == ()
-    two = disjoint_union([cycle_graph(5), cycle_graph(5)])
-    got = long_odd_cycles(two)
-    assert got.cycles == ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))
-    assert got.edge_count() == 10
+    assert long_odd_cycles(BOWTIE) == (1, ())
+    assert long_odd_cycles(path_graph(4)) == (1, ())
+    assert long_odd_cycles(Graph.empty(3)) == (3, ())
+    assert long_odd_cycles(cycle_graph(5)) == (1, ((0, 1, 2, 3, 4),))
+    assert long_odd_cycles(cycle_graph(7)) == (1, ((0, 1, 2, 3, 4, 5, 6),))
+    two = disjoint_union([cycle_graph(5), cycle_graph(5), path_graph(2), Graph.empty(1)])
+    assert long_odd_cycles(two) == (4, ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
+    # the walk closes the cycle hung at vertex 1 first; the list is sorted
+    hung = Graph.from_edges(9, [*cycle_graph(5).edge_list(), (1, 5), (5, 6), (6, 7), (7, 8), (8, 1)])
+    assert long_odd_cycles(hung) == (1, ((0, 1, 2, 3, 4), (1, 5, 6, 7, 8)))
     # cycles are reported from their smallest vertex toward its smaller neighbour
     relabeled = cycle_graph(5).relabeled([3, 1, 4, 0, 2])
-    (cyc,) = long_odd_cycles(relabeled).cycles
+    _, (cyc,) = long_odd_cycles(relabeled)
     assert cyc[0] == 0 and cyc[1] == min(cyc[1], cyc[-1])
     assert len(cyc) == 5
+    # an even cycle, or an odd cycle with a chord, is a block of neither shape
+    assert long_odd_cycles(cycle_graph(4)) is None
+    assert long_odd_cycles(disjoint_union([BOWTIE, cycle_graph(6)])) is None
+    assert long_odd_cycles(Graph.from_edges(5, [*cycle_graph(5).edge_list(), (0, 2)])) is None
 
 
 # ------------------------------------------------------------- isomorphism

@@ -1,4 +1,5 @@
 
+import random
 from collections import Counter
 
 import pytest
@@ -34,7 +35,8 @@ from oddcycle import (
     star_graph,
     write_graph6,
 )
-from oddcycle import matching, roots
+from oddcycle import kelmans, matching, roots
+from oddcycle.graphs import _blocks
 from oddcycle.extremal import _odd_cycle_classes
 
 from oracles import dominance_reference
@@ -163,10 +165,87 @@ def test_reduce_seven_cycle():
 
 
 def test_reduce_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="every block to be an edge or odd cycle"):
         reduce_to_F(cycle_graph(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="connected graph"):
         reduce_to_F(disjoint_union([path_graph(2), path_graph(2)]))
+    # a graph that fails both tests is reported as disconnected
+    with pytest.raises(ValueError, match="connected graph"):
+        reduce_to_F(disjoint_union([cycle_graph(4), path_graph(2)]))
+
+
+# (start graph, the phase its first step is in, what the broken shift returns
+# instead of its result, the error expected)
+_BROKEN_SHIFTS = [
+    (cycle_graph(7), "long-cycle phase", None, "cycle edges dropped by less than two"),
+    (
+        cycle_graph(7),
+        "long-cycle phase",
+        disjoint_union([complete_graph(3), complete_graph(3), Graph.empty(1)]),
+        "graph became disconnected",
+    ),
+    (
+        cycle_graph(7),
+        "long-cycle phase",
+        Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6)]),
+        "a block stopped being an edge or odd cycle",
+    ),
+    # vertex 1 is the beneficiary and must gain degree for the shape guards to run
+    (
+        path_graph(5),
+        "degree-lift phase",
+        Graph.from_edges(5, [(1, 0), (1, 2), (1, 3)]),
+        "graph became disconnected",
+    ),
+    (
+        path_graph(5),
+        "degree-lift phase",
+        Graph.from_edges(5, [(1, 0), (0, 2), (2, 3), (3, 1), (1, 4)]),
+        "a block stopped being an edge or odd cycle",
+    ),
+]
+
+
+@pytest.mark.parametrize("start, context, broken, message", _BROKEN_SHIFTS)
+def test_reduce_guards_each_step(start, context, broken, message, monkeypatch):
+    shift = kelmans.kelmans_transform
+    steps = []
+
+    # only the first shift is broken, so that a missing guard lets the
+    # reduction run on to some other end instead of looping
+    def broken_shift(g, u, v, phase=None):
+        out, step = shift(g, u, v, phase)
+        steps.append(step)
+        if len(steps) == 1:
+            out = g if broken is None else broken
+        return out, step
+
+    monkeypatch.setattr(kelmans, "kelmans_transform", broken_shift)
+    with pytest.raises(ReductionInvariantError, match=f"^{context}: {message}$"):
+        reduce_to_F(start)
+
+
+def _random_cactus(n: int, rng: random.Random) -> Graph:
+    """A connected graph of order n built from odd cycles and bridges, each
+    block hung at a random earlier vertex."""
+    edges, size = [], 1
+    while size < n:
+        length = rng.choice([k for k in (2, 3, 5, 7) if size + k - 1 <= n])
+        path = [rng.randrange(size), *range(size, size + length - 1)]
+        if length > 2:
+            path.append(path[0])
+        edges += zip(path, path[1:])
+        size += length - 1
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(9), _random_cactus(16, random.Random(7))], ids=["C9", "cactus"])
+def test_reduce_walks_the_blocks_of_each_graph_once(g, monkeypatch):
+    walks = []
+    monkeypatch.setattr("oddcycle.graphs._blocks", lambda n, adj: walks.append(adj) or _blocks(n, adj))
+    trace = reduce_to_F(g)
+    assert trace.phase_counts()[KelmansPhase.LONG_CYCLE] > 0
+    assert walks == [g.adj] + [after.adj for _, after in trace.steps]
 
 
 def test_validate_detects_tampering():
