@@ -223,6 +223,40 @@ def test_components():
 # ------------------------------------------------------------------- blocks
 
 
+def _block_sets(g):
+    return [frozenset((min(u, v), max(u, v)) for u, v in edges) for edges in _blocks(g.n, g.adj)]
+
+
+def _shared_vertices(blocks):
+    """Vertices lying in two or more blocks: the cut vertices."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    for blk in blocks:
+        verts = {x for e in blk for x in e}
+        shared |= verts & seen
+        seen |= verts
+    return shared
+
+
+def test_block_decomposition_examples():
+    blocks = _block_sets(BOWTIE)
+    assert set(blocks) == {
+        frozenset({(0, 1), (0, 2), (1, 2)}),
+        frozenset({(0, 3), (0, 4), (3, 4)}),
+    }
+    assert _shared_vertices(blocks) == {0}
+
+    blocks = _block_sets(path_graph(4))
+    assert set(blocks) == {frozenset({(0, 1)}), frozenset({(1, 2)}), frozenset({(2, 3)})}
+    assert _shared_vertices(blocks) == {1, 2}
+
+    blocks = _block_sets(cycle_graph(5))
+    assert len(blocks) == 1 and len(blocks[0]) == 5
+    assert _shared_vertices(blocks) == set()
+
+    assert _block_sets(Graph.empty(3)) == []
+
+
 def _component_count(n, edges):
     parent = list(range(n))
 
