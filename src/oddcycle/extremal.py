@@ -4,14 +4,15 @@ verification sweeps.
 F(n, m) is the star on vertex 0 plus a matching among its leaves; H_n is the
 edge-maximal member F(n, floor(3(n-1)/2)).  Connected odd-cycle classes are
 grown block by block, and the graphs of order n are built as multisets of
-them.  The sweeps here machine-check the classification of max-root
-maximizers, grid monotonicity of t(F(n, m)), the reduction to F, the
-dominance behaviour of the Kelmans shift, and the identity and the spectral
-radius of skew matrices.  Every sweep runs in the calling process.  The
-identity sweep is the only one that walks every labeled edge mask, in
-_labeled_rows; all others but the grid run over isomorphism classes.  Each
-sweep returns a VerificationReport; a nonempty counterexample list means the
-claim failed.
+them.  Class generation colour-refines each candidate once and searches for
+an isomorphism only among kept graphs with the same refinement signature.
+The sweeps here machine-check the classification of max-root maximizers,
+grid monotonicity of t(F(n, m)), the reduction to F, the dominance behaviour
+of the Kelmans shift, and the identity and the spectral radius of skew
+matrices.  Every sweep runs in the calling process.  The identity sweep is
+the only one that walks every labeled edge mask, in _labeled_rows; all
+others but the grid run over isomorphism classes.  Each sweep returns a
+VerificationReport; a nonempty counterexample list means the claim failed.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from types import MappingProxyType
 from .graphs import (
     Graph,
     GraphTooLargeError,
+    _refine,
+    _search_mappings,
     automorphism_count,
     complete_graph,
     cycle_graph,
     disjoint_union,
     is_connected,
-    is_isomorphic,
     is_odd_cycle_graph,
     iter_bits,
     odd_cycle_rows,
@@ -157,6 +159,8 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
     order n - 1 plus a new vertex joined to each nonempty vertex set.
     Deleting a leaf of a spanning tree leaves a connected graph, so every
     class arises."""
+    if not 1 <= n <= STRUCTURED_MAX_N:
+        raise GraphTooLargeError(f"structured generation limited to n <= {STRUCTURED_MAX_N}")
     if n == 1:
         return (Graph.empty(1),)
     candidates: list[Graph] = []
@@ -170,20 +174,21 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
 
 
 def _one_per_class(candidates: list[Graph]) -> tuple[Graph, ...]:
-    """The first candidate of each isomorphism class, in order; isomorphism
-    is tested only inside (size, degree multiset, matching profile) buckets."""
-    buckets: dict[tuple, list[Graph]] = {}
+    """The first candidate of each isomorphism class, in order.
+
+    Each candidate is colour-refined once.  Isomorphic graphs have the same
+    refinement signature, which also fixes the order and the edge count, so
+    only kept graphs of the same signature are compared; the backtracking
+    search against each, on the colours kept with it, decides exactly."""
+    buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
     kept: list[Graph] = []
     for cand in candidates:
-        key = (
-            cand.m,
-            tuple(sorted(cand.degree(v) for v in range(cand.n))),
-            matching_profile(cand).counts,
-        )
-        bucket = buckets.setdefault(key, [])
-        if any(is_isomorphic(cand, old, max_n=STRUCTURED_MAX_N) for old in bucket):
+        colors, signature = _refine(cand.n, cand.adj, [0] * cand.n)
+        bucket = buckets.setdefault(signature, [])
+        if any(_search_mappings(cand, old, colors, old_colors, count_all=False)
+               for old, old_colors in bucket):
             continue
-        bucket.append(cand)
+        bucket.append((cand, colors))
         kept.append(cand)
     return tuple(kept)
 

@@ -400,16 +400,18 @@ def long_odd_cycles(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
 # ------------------------------------------------------------- isomorphism
 
 
-def _refine(n: int, adj, colors: list[int]) -> tuple[int, ...]:
+def _refine(n: int, adj, colors: list[int]) -> tuple[tuple[int, ...], tuple]:
+    """Stable colour refinement: (colours, signature), the signature being
+    the sorted (colour, sorted neighbour colours) pairs of the last round.
+    From the uniform colouring both follow any relabelling, so the signature
+    is an isomorphism invariant and isomorphisms preserve the colours."""
+    nbrs = [list(iter_bits(row)) for row in adj]
     while True:
-        sigs = []
-        for v in range(n):
-            neigh = sorted(colors[w] for w in iter_bits(adj[v]))
-            sigs.append((colors[v], tuple(neigh)))
+        sigs = [(colors[v], tuple(sorted([colors[w] for w in nbrs[v]]))) for v in range(n)]
         table = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [table[s] for s in sigs]
         if new == colors:
-            return tuple(new)
+            return tuple(new), tuple(sorted(sigs))
         colors = new
 
 
@@ -462,9 +464,9 @@ def is_isomorphic(g1: Graph, g2: Graph, max_n: int = ISO_DEFAULT_MAX_N) -> bool:
         raise GraphTooLargeError(f"isomorphism test limited to n <= {max_n}")
     if g1.n != g2.n or g1.m != g2.m:
         return False
-    c1 = _refine(g1.n, g1.adj, [0] * g1.n)
-    c2 = _refine(g2.n, g2.adj, [0] * g2.n)
-    if sorted(c1) != sorted(c2):
+    c1, sig1 = _refine(g1.n, g1.adj, [0] * g1.n)
+    c2, sig2 = _refine(g2.n, g2.adj, [0] * g2.n)
+    if sig1 != sig2:
         return False
     return _search_mappings(g1, g2, c1, c2, count_all=False) > 0
 
@@ -473,5 +475,5 @@ def automorphism_count(g: Graph, max_n: int = ISO_DEFAULT_MAX_N + 1) -> int:
     """Order of the automorphism group (same search as is_isomorphic)."""
     if g.n > max_n:
         raise GraphTooLargeError(f"automorphism count limited to n <= {max_n}")
-    c = _refine(g.n, g.adj, [0] * g.n)
+    c, _ = _refine(g.n, g.adj, [0] * g.n)
     return _search_mappings(g, g, c, c, count_all=True)

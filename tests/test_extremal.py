@@ -9,6 +9,7 @@ from oddcycle import (
     EQ,
     DominanceVerdict,
     Graph,
+    GraphTooLargeError,
     IntPolynomial,
     ReductionTrace,
     SwitchingClasses,
@@ -16,8 +17,10 @@ from oddcycle import (
     all_orientations,
     automorphism_count,
     compare_roots,
+    complete_graph,
     connected_odd_cycle_reps,
     cycle_graph,
+    disjoint_union,
     edge_cap,
     is_connected,
     is_isomorphic,
@@ -43,8 +46,8 @@ from oddcycle import (
     write_graph6,
 )
 
-from oddcycle import extremal, reduce_to_F
-from oddcycle.extremal import _odd_cycle_classes
+from oddcycle import extremal, graphs, reduce_to_F
+from oddcycle.extremal import STRUCTURED_MAX_N, _odd_cycle_classes
 from oddcycle.roots import LT
 from oddcycle.kelmans import _is_star_plus_matching
 from oracles import connected_labeled_counts, has_even_cycle, labeled_odd_cycle_graphs
@@ -479,17 +482,61 @@ def test_connected_labeled_counts_oracle():
     ]
 
 
-@pytest.mark.parametrize("n,classes", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)])
+@pytest.mark.parametrize(
+    "n,classes", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112), (7, 853)]
+)
 def test_connected_classes_cover_the_labeled_connected_graphs(n, classes):
     # orbit counting against the exponential-transform count
     reps = extremal._connected_classes(n)
     assert len(reps) == classes
     assert all(g.n == n and is_connected(g) for g in reps)
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            assert not is_isomorphic(reps[i], reps[j])
+    if n <= 6:
+        for i in range(len(reps)):
+            for j in range(i + 1, len(reps)):
+                assert not is_isomorphic(reps[i], reps[j])
     labeled = sum(math.factorial(n) // automorphism_count(g) for g in reps)
     assert labeled == connected_labeled_counts(n)
+
+
+def test_connected_classes_refuse_an_order_before_growing_any(monkeypatch):
+    def grown(candidates):
+        raise AssertionError("classes grown before the order check")
+
+    monkeypatch.setattr(extremal, "_one_per_class", grown)
+    for n in (0, STRUCTURED_MAX_N + 1):
+        with pytest.raises(GraphTooLargeError):
+            extremal._connected_classes(n)
+
+
+def test_one_per_class_refines_each_candidate_once(monkeypatch):
+    # every labeled graph of order 4 (11 classes), then C6 and 2C3, which
+    # refinement cannot tell apart, each twice under two labellings
+    pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    candidates = [
+        Graph.from_edges(4, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        for mask in range(1 << len(pairs))
+    ]
+    c6, two_c3 = cycle_graph(6), disjoint_union([complete_graph(3)] * 2)
+    swap = [1, 0, 2, 3, 4, 5]
+    candidates += [c6, two_c3, c6.relabeled(swap), two_c3.relabeled(swap)]
+    refined, refine = [], graphs._refine
+
+    def counted(n, adj, colors):
+        refined.append(adj)
+        return refine(n, adj, colors)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the class dedupe computed a matching profile")
+
+    # is_isomorphic refines through graphs._refine, so a call would show here too
+    monkeypatch.setattr(extremal, "_refine", counted)
+    monkeypatch.setattr(graphs, "_refine", counted)
+    monkeypatch.setattr(extremal, "matching_profile", forbidden)
+    reps = extremal._one_per_class(candidates)
+    assert refined == [g.adj for g in candidates]
+    assert len(reps) == 13
+    assert reps[-2:] == (c6, two_c3)
+    assert sorted(g.m for g in reps[:11]) == [0, 1, 2, 2, 3, 3, 3, 4, 4, 5, 6]
 
 
 def test_verify_identity_small():

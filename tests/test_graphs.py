@@ -1,7 +1,7 @@
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddcycle import (
@@ -10,6 +10,7 @@ from oddcycle import (
     GraphTooLargeError,
     automorphism_count,
     complete_graph,
+    connected_odd_cycle_reps,
     cycle_graph,
     disjoint_union,
     is_connected,
@@ -22,7 +23,7 @@ from oddcycle import (
     star_graph,
     write_graph6,
 )
-from oddcycle.graphs import _blocks
+from oddcycle.graphs import _blocks, _refine, _search_mappings
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
@@ -358,6 +359,32 @@ def test_automorphism_counts():
     assert automorphism_count(disjoint_union([complete_graph(3), Graph.empty(1)])) == 6
     with pytest.raises(GraphTooLargeError):
         automorphism_count(Graph.empty(12))
+
+
+def _assert_relabelled_copy_is_found(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = g.relabeled(perm)
+    colors, signature = _refine(g.n, g.adj, [0] * g.n)
+    h_colors, h_signature = _refine(h.n, h.adj, [0] * h.n)
+    assert h_signature == signature
+    assert all(h_colors[perm[v]] == colors[v] for v in range(g.n))
+    # the neighbour tuples hold every edge twice, so the signature fixes m
+    assert sum(len(nbrs) for _, nbrs in signature) == 2 * g.m
+    assert _search_mappings(h, g, h_colors, colors, count_all=False) == 1
+
+
+@settings(max_examples=10)
+@given(st.randoms(use_true_random=False))
+def test_every_small_odd_cycle_class_is_found_after_a_random_relabelling(rng):
+    for n in range(1, 8):
+        for g in connected_odd_cycle_reps(n):
+            _assert_relabelled_copy_is_found(g, rng)
+
+
+@given(graphs(max_n=8), st.randoms(use_true_random=False))
+def test_refinement_signature_is_invariant_under_relabelling(g, rng):
+    _assert_relabelled_copy_is_found(g, rng)
 
 
 @given(graphs(max_n=6))
