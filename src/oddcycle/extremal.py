@@ -38,7 +38,6 @@ from .graphs import (
     is_connected,
     is_odd_cycle_graph,
     iter_bits,
-    odd_cycle_rows,
     star_graph,
     write_graph6,
 )
@@ -103,9 +102,8 @@ def make_H(n: int) -> Graph:
 
 
 def _labeled_rows(n: int):
-    """Yield (edge mask, adjacency rows) of every labeled graph of order n,
-    masks ascending.  Bit k of the mask is the k-th vertex pair in
-    lexicographic order."""
+    """Yield every labeled graph of order n, edge masks ascending.  Bit k of
+    the mask is the k-th vertex pair in lexicographic order."""
     pairs = []  # (u, v, bit of u, bit of v, bit of the pair in the mask)
     for u in range(n):
         for v in range(u + 1, n):
@@ -116,7 +114,7 @@ def _labeled_rows(n: int):
             if mask & bit:
                 rows[u] |= bv
                 rows[v] |= bu
-        yield mask, rows
+        yield Graph(n, tuple(rows))
 
 
 @functools.cache
@@ -297,22 +295,26 @@ def _report(claim: str, universe: str, checked: int, bad, witnesses, t0: float):
 # ------------------------------------------------------- profile census
 
 
-def _profile_champions(n: int, groups: dict[tuple[int, ...], list]):
-    """Exact max-root winners among profile groups: (root, [profiles])."""
+def _running_best(pairs):
+    """(best root, keys) over (root, keys) pairs: the keys of every pair
+    whose root equals the largest, in order of appearance."""
     best_root: AlgebraicRoot | None = None
-    best: list[tuple[int, ...]] = []
-    for prof in sorted(groups):
-        root = max_real_root(polynomial_from_profile(prof, n))
-        if best_root is None:
-            best_root, best = root, [prof]
-            continue
-        cmp = compare_roots(root, best_root)
+    best: list = []
+    for root, keys in pairs:
+        cmp = GT if best_root is None else compare_roots(root, best_root)
         if cmp == GT:
-            best_root, best = root, [prof]
+            best_root, best = root, list(keys)
         elif cmp == EQ:
-            best.append(prof)
+            best.extend(keys)
     assert best_root is not None
     return best_root, best
+
+
+def _profile_champions(n: int, groups: dict[tuple[int, ...], list]):
+    """Exact max-root winners among profile groups: (root, [profiles])."""
+    return _running_best(
+        (max_real_root(polynomial_from_profile(prof, n)), [prof]) for prof in sorted(groups)
+    )
 
 
 @dataclass(frozen=True)
@@ -427,21 +429,11 @@ def verify_conjecture(n: int) -> VerificationReport:
     _check_order("conjecture", n)
     census = _order_census(n)
     bad: list[str] = []
-    checked = 1  # the edgeless graph, whose maximum root is 0
-    best_root: AlgebraicRoot | None = None
-    winners: list[tuple[int, tuple[int, ...]]] = []
-    for m, size in census.items():
-        root, champs = size.root, size.champions
-        checked += sum(entry[0] for entry in size.groups.values())
-        if best_root is None:
-            best_root, winners = root, [(m, p) for p in champs]
-            continue
-        cmp = compare_roots(root, best_root)
-        if cmp == GT:
-            best_root, winners = root, [(m, p) for p in champs]
-        elif cmp == EQ:
-            winners.extend((m, p) for p in champs)
-    assert best_root is not None
+    # 1 for the edgeless graph, whose maximum root is 0
+    checked = 1 + sum(entry[0] for size in census.values() for entry in size.groups.values())
+    best_root, winners = _running_best(
+        (size.root, [(m, p) for p in size.champions]) for m, size in census.items()
+    )
     h = make_H(n)
     h_prof = matching_profile(h).counts
     if best_root.compare_to_rational(0) != GT:
@@ -594,11 +586,10 @@ def verify_identity(n: int) -> VerificationReport:
     _check_order("identity", n)
     bad: list[str] = []
     orientations = evaluated = graphs = 0
-    for _, rows in _labeled_rows(n):
-        g = Graph(n, tuple(rows))
+    for g in _labeled_rows(n):
         graphs += 1
         target = _identity_target(g)
-        odd = odd_cycle_rows(n, rows)
+        odd = is_odd_cycle_graph(g)
         classes = SwitchingClasses(g)
         # det(xI - S) is constant on a switching class; masks are still walked
         # in ascending order so the first violation is found where it was

@@ -350,12 +350,7 @@ def _bad_block(edges) -> bool:
 def is_odd_cycle_graph(g: Graph) -> bool:
     """True iff every cycle of g is odd, i.e. every biconnected block is a
     single edge or an odd cycle.  Early-exits on the first bad block."""
-    return odd_cycle_rows(g.n, g.adj)
-
-
-def odd_cycle_rows(n: int, adj) -> bool:
-    """is_odd_cycle_graph on a raw adjacency row sequence; hot-loop entry."""
-    return not any(map(_bad_block, _blocks(n, adj)))
+    return not any(map(_bad_block, _blocks(g.n, g.adj)))
 
 
 def _cycle_order(block) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, is_connected, iter_bits, long_odd_cycles, write_graph6
 from .matching import matching_polynomial
-from .roots import count_roots_above, count_roots_from, max_matching_root
+from .roots import count_roots_above, count_roots_from, max_real_root
 from .polynomials import IntPolynomial
 
 
@@ -249,13 +249,14 @@ def dominance(g1: Graph, g2: Graph) -> DominanceVerdict:
     """
     if g1.n != g2.n:
         raise ValueError("graphs must have the same vertex count")
-    d = matching_polynomial(g2) - matching_polynomial(g1)
+    p1 = matching_polynomial(g1)
+    d = matching_polynomial(g2) - p1
     if d.is_zero():
         return DominanceVerdict.EQUAL_POLYNOMIALS
     if d.leading < 0:
         return DominanceVerdict.INCOMPARABLE
 
-    t1 = max_matching_root(g1)
+    t1 = max_real_root(p1)
     if count_roots_from(d, t1) == 0:
         return DominanceVerdict.STRICTLY_DOMINATES
     odd_part = IntPolynomial.one()

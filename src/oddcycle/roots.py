@@ -25,8 +25,11 @@ This module alone decides how narrow an interval is.  ``max_real_root``
 hands out its root refined to width 2^-16, and every question asked of a
 root (its sign under a polynomial, its order against a rational or another
 root, the roots of a polynomial above it, its decimal digits) refines
-further on its own, as far as that question needs.  ``max_matching_root``
-keeps a bounded memo keyed by graph value, so t(G) is isolated once.
+further on its own, as far as that question needs.  ``max_real_root`` keeps
+the module's one bounded memo of roots, keyed by the polynomial: equal
+polynomials, from relabelled graphs or from orientations whose alternating
+skew form is m(G), are isolated once and share one frozen root, which
+``compare_roots`` recognises at once.
 """
 
 from __future__ import annotations
@@ -287,11 +290,12 @@ class AlgebraicRoot:
         return ("-" if q < 0 else "") + head + ("." + tail if tail else "")
 
 
+@lru_cache(maxsize=4096)
 def max_real_root(p: IntPolynomial) -> AlgebraicRoot:
     """The largest real root of p, its isolating interval refined to width 2^-16.
 
     Callers that need a narrower interval ask for it with ``refined``; the
-    root's own questions refine as far as they need.
+    root's own questions refine as far as they need.  Memoized by p.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -315,7 +319,6 @@ def max_real_root(p: IntPolynomial) -> AlgebraicRoot:
     return AlgebraicRoot(sf, Fraction(a, d), Fraction(b, d)).refined(_WIDTH)
 
 
-@lru_cache(maxsize=4096)
 def max_matching_root(g: Graph) -> AlgebraicRoot:
     """Largest root of the matching polynomial (0 for edgeless graphs)."""
     return max_real_root(matching_polynomial(g))
@@ -346,8 +349,11 @@ def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:
     """Exact order of two algebraic roots: LT (-1), EQ (0) or GT (+1).
 
     While the intervals overlap, each round halves the wider one, or both
-    when their widths are equal.
+    when their widths are equal.  Equal roots (the same polynomial and
+    interval, as the memo of ``max_real_root`` hands out) are EQ at once.
     """
+    if a == b:
+        return EQ
     gcounter = None  # root counter of gcd(a.poly, b.poly), False when it is constant
     while a.hi > b.lo and b.hi > a.lo:
         if gcounter is None:

@@ -14,11 +14,12 @@ per class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .graphs import Graph, GraphTooLargeError, iter_bits
 from .matching import matching_profile, polynomial_from_profile
 from .polynomials import IntPolynomial
-from .roots import GT, AlgebraicRoot, compare_roots, max_real_root
+from .roots import AlgebraicRoot, compare_roots, max_real_root
 
 CHAR_POLY_MAX_N = 24
 ORIENTATION_SWEEP_MAX_M = 24
@@ -221,19 +222,10 @@ def max_skew_spectral_radius(g: Graph) -> AlgebraicRoot:
     """Maximum of skew_spectral_radius over all orientations of g.
 
     One orientation per switching class is evaluated; the others share its
-    characteristic polynomial.
+    characteristic polynomial.  Classes whose polynomials are equal share
+    one memoized root, and ``compare_roots`` settles such a tie at once.
     """
     if g.m > RADIUS_SWEEP_MAX_M:
         raise GraphTooLargeError(f"radius sweep limited to m <= {RADIUS_SWEEP_MAX_M}")
-    best: AlgebraicRoot | None = None
-    seen: set[tuple[int, ...]] = set()
-    for mask in SwitchingClasses(g).representatives():
-        phi = skew_char_poly(Orientation(g, mask))
-        if phi.coeffs in seen:
-            continue
-        seen.add(phi.coeffs)
-        rho = max_real_root(_alternating_form(phi, g.n))
-        if best is None or compare_roots(rho, best) == GT:
-            best = rho
-    assert best is not None
-    return best
+    reps = SwitchingClasses(g).representatives()
+    return max((skew_spectral_radius(Orientation(g, mask)) for mask in reps), key=cmp_to_key(compare_roots))

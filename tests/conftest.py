@@ -1,7 +1,7 @@
 import hypothesis
 import pytest
 
-from oddcycle import matching_polynomial, max_matching_root
+from oddcycle import matching_polynomial, max_real_root
 
 hypothesis.settings.register_profile(
     "exact",
@@ -14,6 +14,6 @@ hypothesis.settings.load_profile("exact")
 
 @pytest.fixture
 def cold_memos():
-    """Empty the m(G) and t(G) memos, so a test sees only its own calls."""
+    """Empty the m(G) and root memos, so a test sees only its own calls."""
     matching_polynomial.cache_clear()
-    max_matching_root.cache_clear()
+    max_real_root.cache_clear()

@@ -8,7 +8,7 @@ from math import isqrt
 
 from hypothesis import strategies as st
 
-from oddcycle import IntPolynomial
+from oddcycle import Graph, IntPolynomial
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,16 @@ class ParityPoly:
                 count += (lo < 0 or lo * lo < a) and (hi >= 0 and a <= hi * hi)
                 count += (lo < 0 and lo * lo > a) and (hi >= 0 or a >= hi * hi)
         return count
+
+
+@st.composite
+def graphs(draw, min_n=1, max_n=7):
+    """A labeled graph of order min_n..max_n, its edge set drawn as a bitmask
+    over the vertex pairs."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
 rationals = st.fractions(-9, 9, max_denominator=4)

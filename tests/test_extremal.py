@@ -306,6 +306,14 @@ def test_verify_classification_reports_the_tie():
     assert tie and "x8" in tie[0]
 
 
+def test_running_best_keeps_every_key_of_a_tie_in_order():
+    # a claim that fails by a tie between groups rests on this branch
+    one, two, three = (max_real_root(IntPolynomial.from_coeffs([-k, 1])) for k in (1, 2, 3))
+    three_again = max_real_root(IntPolynomial.from_coeffs([-9, 0, 1]))
+    pairs = [(two, "a"), (three, "bc"), (one, "d"), (three_again, "e"), (three, "f")]
+    assert extremal._running_best(pairs) == (three, ["b", "c", "e", "f"])
+
+
 def test_verify_conjecture_small():
     rep = verify_conjecture(5)
     assert rep.passed

@@ -28,14 +28,7 @@ from oddcycle.graphs import _blocks, _refine, _search_mappings
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
 from oracles import graph6_reference, has_even_cycle, simple_cycles
-
-
-@st.composite
-def graphs(draw, min_n=1, max_n=7):
-    n = draw(st.integers(min_n, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
-    return Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+from strategies import graphs
 
 
 def all_graphs(n):

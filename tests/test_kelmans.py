@@ -29,17 +29,19 @@ from oddcycle import (
     make_F,
     matching_polynomial,
     max_matching_root,
+    max_real_root,
     parse_graph6,
     path_graph,
     reduce_to_F,
     star_graph,
     write_graph6,
 )
-from oddcycle import kelmans, matching, roots
+from oddcycle import kelmans, matching
 from oddcycle.graphs import _blocks
 from oddcycle.extremal import _odd_cycle_classes
 
 from oracles import dominance_reference
+from strategies import graphs
 
 EQUAL = DominanceVerdict.EQUAL_POLYNOMIALS
 STRICT = DominanceVerdict.STRICTLY_DOMINATES
@@ -50,14 +52,6 @@ INCOMPARABLE = DominanceVerdict.INCOMPARABLE
 CACTUS = Graph.from_edges(
     9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (5, 6), (6, 2), (4, 7), (7, 8)]
 )
-
-
-@st.composite
-def graphs(draw, min_n=2, max_n=7):
-    n = draw(st.integers(min_n, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
-    return Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
 # ---------------------------------------------------------------- transform
@@ -95,7 +89,7 @@ def test_transform_can_be_a_no_op():
     assert step.moved_edges == ()
 
 
-@given(graphs(), st.integers(0, 10**6), st.integers(0, 10**6))
+@given(graphs(min_n=2), st.integers(0, 10**6), st.integers(0, 10**6))
 def test_transform_bookkeeping(g, a, b):
     u = a % g.n
     v = b % g.n
@@ -372,22 +366,21 @@ def test_dominance_matches_the_fraction_oracle_on_every_small_pair(universe, cou
 
 
 def test_one_query_expands_each_graph_once(cold_memos, monkeypatch):
-    profiled, isolated = [], []
-    profile, isolate = matching.matching_profile, roots.max_real_root
+    profiled = []
+    profile = matching.matching_profile
     monkeypatch.setattr(matching, "matching_profile", lambda g: profiled.append(g) or profile(g))
-    monkeypatch.setattr(roots, "max_real_root", lambda p: isolated.append(p) or isolate(p))
     # each make_F call builds a new, equal graph: the memos hit by value
     t_g = max_matching_root(CACTUS)
     assert dominance(make_F(CACTUS.n, CACTUS.m), CACTUS) is STRICT
     t_f = max_matching_root(make_F(CACTUS.n, CACTUS.m))
     assert profiled == [CACTUS, make_F(CACTUS.n, CACTUS.m)]
-    assert len(isolated) == 2
+    assert max_real_root.cache_info().misses == 2
     assert compare_roots(t_f, t_g) == GT
 
 
 def test_dominance_reference_bypasses_the_memos(cold_memos):
     assert dominance_reference(make_F(CACTUS.n, CACTUS.m), CACTUS) is STRICT
-    for memo in (matching_polynomial, max_matching_root):
+    for memo in (matching_polynomial, max_real_root):
         assert memo.cache_info().hits == memo.cache_info().misses == 0
 
 

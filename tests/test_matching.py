@@ -1,9 +1,12 @@
+import importlib
+import pkgutil
 from math import comb
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oddcycle
 from oddcycle import (
     Graph,
     IntPolynomial,
@@ -13,23 +16,16 @@ from oddcycle import (
     matching_polynomial,
     matching_profile,
     max_matching_root,
+    max_real_root,
     path_graph,
     polynomial_from_profile,
     star_graph,
 )
-from oddcycle.roots import _sturm_chain
 
 from oracles import check_deletion_identity, check_union_identity, matchings_by_size_reference
+from strategies import graphs
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-
-
-@st.composite
-def graphs(draw, min_n=1, max_n=7):
-    n = draw(st.integers(min_n, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
-    return Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
 @st.composite
@@ -162,10 +158,46 @@ def test_memoized_polynomial_and_root_equal_a_fresh_computation(cold_memos, pair
     # than the adjacency would hand one the other's polynomial
     for g in (*pair, path_graph(4), star_graph(3)):
         assert matching_polynomial(g) == matching_polynomial.__wrapped__(g)
-        assert max_matching_root(g) == max_matching_root.__wrapped__(g)
+        fresh = max_real_root.__wrapped__(matching_polynomial.__wrapped__(g))
+        assert max_matching_root(g) == fresh
 
 
-def test_memos_are_bounded(cold_memos):
+def test_a_relabelled_copy_costs_no_second_isolation(cold_memos):
+    # the root memo is keyed by the polynomial, not by the graph
+    h = BOWTIE.relabeled([4, 3, 2, 1, 0])
+    assert h != BOWTIE
+    assert max_matching_root(h) is max_matching_root(BOWTIE)
+    assert max_real_root.cache_info().misses == 1
+
+
+# memos keyed by an order, which see a handful of keys per process
+ORDER_KEYED = {
+    "_field_width",
+    "connected_odd_cycle_reps",
+    "_connected_classes",
+    "_connected_aut_counts",
+    "_order_census",
+}
+
+
+def package_memos() -> dict:
+    """Every function of the package with a ``cache_info``, by name; the
+    __main__ module exits on import and is skipped."""
+    memos = {}
+    for info in pkgutil.iter_modules(oddcycle.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"oddcycle.{info.name}")
+            for value in vars(module).values():
+                if hasattr(value, "cache_info"):
+                    memos[value.__name__] = value
+    return memos
+
+
+def test_memos_are_bounded():
     # an unbounded memo would keep every graph of a large sweep alive
-    for memo in (matching_polynomial, max_matching_root):
-        assert memo.cache_info().maxsize == _sturm_chain.cache_info().maxsize == 4096
+    memos = package_memos()
+    assert {"matching_polynomial", "max_real_root", "_sturm_chain"} <= memos.keys()
+    assert "max_matching_root" not in memos
+    for name, memo in memos.items():
+        want = None if name in ORDER_KEYED else 4096
+        assert memo.cache_info().maxsize == want, name

@@ -140,6 +140,10 @@ def test_compare_roots():
     assert compare_roots(sqrt2, sqrt2_again) == EQ
     two = max_real_root(from_roots([2]))
     assert compare_roots(two, sqrt3) == GT
+    # two roots of one polynomial are not equal for sharing it
+    minus_sqrt2 = AlgebraicRoot(X2_MINUS_2, Fraction(-2), Fraction(-1))
+    assert compare_roots(minus_sqrt2, sqrt2) == LT
+    assert compare_roots(sqrt2, minus_sqrt2) == GT
 
 
 def test_compare_roots_takes_the_gcd_only_once_the_intervals_overlap(monkeypatch):
@@ -157,8 +161,13 @@ def test_compare_roots_takes_the_gcd_only_once_the_intervals_overlap(monkeypatch
     assert compare_roots(sqrt2, sqrt3) == LT
     assert compare_roots(sqrt3, sqrt2) == GT
     assert calls == []
+    # an equal root, from another polynomial with the same squarefree part,
+    # is EQ without one
     sqrt2_again = max_real_root(IntPolynomial.from_coeffs([4, 0, -4, 0, 1]))
+    assert sqrt2_again == sqrt2 and sqrt2_again is not sqrt2
     assert compare_roots(sqrt2, sqrt2_again) == EQ
+    assert calls == []
+    assert compare_roots(sqrt2, AlgebraicRoot(X2_MINUS_2, Fraction(1), Fraction(2))) == EQ
     assert calls
 
 
