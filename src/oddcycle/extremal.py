@@ -2,8 +2,9 @@
 verification sweeps.
 
 F(n, m) is the star on vertex 0 plus a matching among its leaves; H_n is the
-edge-maximal member F(n, floor(3(n-1)/2)).  Connected odd-cycle classes are
-grown block by block, and the graphs of order n are built as multisets of
+edge-maximal member F(n, floor(3(n-1)/2)).  The connected classes, of
+odd-cycle graphs or of all graphs, are grown one vertex at a time and count
+their own labeled copies; the odd-cycle graphs of order n are multisets of
 them.  Class generation colour-refines each candidate once and searches for
 an isomorphism only among kept graphs with the same refinement signature.
 The sweeps here machine-check the classification of max-root maximizers,
@@ -29,6 +30,8 @@ from types import MappingProxyType
 from .graphs import (
     Graph,
     GraphTooLargeError,
+    _color_classes,
+    _component_mask,
     _refine,
     _search_mappings,
     automorphism_count,
@@ -117,78 +120,79 @@ def _labeled_rows(n: int):
         yield Graph(n, tuple(rows))
 
 
-@functools.cache
 def connected_odd_cycle_reps(n: int) -> tuple[Graph, ...]:
-    """Connected odd-cycle graphs of order n, one per isomorphism class.
+    """Connected odd-cycle graphs of order n, one per isomorphism class."""
+    return tuple(g for g, _ in _classes(n, True))
 
-    Grown by attaching a new leaf block, either a bridge or an odd cycle, at
-    every vertex of every smaller representative.  Any connected graph whose
-    blocks are edges and odd cycles arises this way: its block-cut tree has a
-    leaf block, and removing that block (keeping the cut vertex) leaves a
-    smaller graph of the same kind.  Each order is grown once per process;
-    the smaller orders come from the cache.
+
+@functools.cache
+def _classes(n: int, odd: bool) -> tuple[tuple[Graph, int], ...]:
+    """(representative, labeled copies) per isomorphism class of the
+    connected graphs of order n: odd-cycle graphs if odd, else all.
+
+    Let X(G) be the leaves of G, or its non-cut vertices if it has no leaf.
+    Deleting any x in X(G) leaves a connected graph of the same kind, so
+    every class is a class B of order n - 1 plus a new vertex joined to a
+    set S that is a single vertex or holds every leaf of B.  Each such S
+    puts the new vertex in X, so both sides count the pairs (labeled G,
+    x in X(G)): copies(C) * |X(C)| = n * sum copies(B) over the candidates
+    that land in C.  In an odd-cycle graph a non-cut vertex lies in exactly
+    one block, an edge or an odd cycle, so there |S| <= 2 and a pair is
+    kept only if the candidate is an odd-cycle graph.  Each order is grown
+    once per process; the smaller orders come from the cache.
     """
     if not 1 <= n <= STRUCTURED_MAX_N:
         raise GraphTooLargeError(f"structured generation limited to n <= {STRUCTURED_MAX_N}")
     if n == 1:
-        return (Graph.empty(1),)
-    candidates: list[Graph] = []
-    for base in connected_odd_cycle_reps(n - 1):
-        for r in range(n - 1):
-            rows = list(base.adj) + [1 << r]
-            rows[r] |= 1 << (n - 1)
-            candidates.append(Graph(n, tuple(rows)))
-    for t in range(1, (n - 1) // 2 + 1):
-        j = n - 2 * t
-        for base in connected_odd_cycle_reps(j):
-            for r in range(j):
-                rows = list(base.adj) + [0] * (2 * t)
-                chain = [r] + list(range(j, n)) + [r]
-                for a, b in zip(chain, chain[1:]):
-                    rows[a] |= 1 << b
-                    rows[b] |= 1 << a
-                candidates.append(Graph(n, tuple(rows)))
-    return _one_per_class(candidates)
-
-
-@functools.cache
-def _connected_classes(n: int) -> tuple[Graph, ...]:
-    """Connected graphs of order n, one per isomorphism class: each class of
-    order n - 1 plus a new vertex joined to each nonempty vertex set.
-    Deleting a leaf of a spanning tree leaves a connected graph, so every
-    class arises."""
-    if not 1 <= n <= STRUCTURED_MAX_N:
-        raise GraphTooLargeError(f"structured generation limited to n <= {STRUCTURED_MAX_N}")
-    if n == 1:
-        return (Graph.empty(1),)
-    candidates: list[Graph] = []
-    for base in _connected_classes(n - 1):
-        for nbrs in range(1, 1 << (n - 1)):
+        return ((Graph.empty(1), 1),)
+    k = n - 1
+    sets = [1 << a | 1 << b for b in range(k) for a in range(b + 1)] if odd else range(1, 1 << k)
+    candidates: list[tuple[Graph, int]] = []
+    for base, copies in _classes(k, odd):
+        leaves = sum(1 << v for v, row in enumerate(base.adj) if row.bit_count() == 1)
+        for nbrs in sets:
+            single = not nbrs & (nbrs - 1)
+            if not single and nbrs & leaves != leaves:
+                continue
             rows = list(base.adj) + [nbrs]
             for r in iter_bits(nbrs):
-                rows[r] |= 1 << (n - 1)
-            candidates.append(Graph(n, tuple(rows)))
-    return _one_per_class(candidates)
+                rows[r] |= 1 << k
+            g = Graph(n, tuple(rows))
+            if single or not odd or is_odd_cycle_graph(g):
+                candidates.append((g, copies))
+    return tuple((g, n * weight // _end_count(g)) for g, weight in _one_per_class(candidates))
 
 
-def _one_per_class(candidates: list[Graph]) -> tuple[Graph, ...]:
-    """The first candidate of each isomorphism class, in order.
+def _end_count(g: Graph) -> int:
+    """|X(G)|: the leaves of a connected g of order >= 2, or, if it has
+    none, the vertices whose deletion leaves it connected."""
+    rest = [(1 << g.n) - 1 ^ 1 << v for v in range(g.n)]
+    return (sum(row.bit_count() == 1 for row in g.adj)
+            or sum(_component_mask(g.adj, (v + 1) % g.n, rest[v]) == rest[v] for v in range(g.n)))
+
+
+def _one_per_class(candidates) -> list[list]:
+    """[first graph, summed weight] per isomorphism class of the (graph,
+    weight) candidates, in order.
 
     Each candidate is colour-refined once.  Isomorphic graphs have the same
     refinement signature, which also fixes the order and the edge count, so
     only kept graphs of the same signature are compared; the backtracking
-    search against each, on the colours kept with it, decides exactly."""
-    buckets: dict[tuple, list[tuple[Graph, tuple[int, ...]]]] = {}
-    kept: list[Graph] = []
-    for cand in candidates:
-        colors, signature = _refine(cand.n, cand.adj, [0] * cand.n)
+    search against each, on its kept colour classes, decides exactly."""
+    buckets: dict[tuple, list[tuple[list, dict]]] = {}
+    kept: list[list] = []
+    for cand, weight in candidates:
+        colors, signature = _refine(cand.n, cand.adj)
         bucket = buckets.setdefault(signature, [])
-        if any(_search_mappings(cand, old, colors, old_colors, count_all=False)
-               for old, old_colors in bucket):
-            continue
-        bucket.append((cand, colors))
-        kept.append(cand)
-    return tuple(kept)
+        for entry, classes in bucket:
+            if _search_mappings(cand, entry[0], colors, classes, count_all=False):
+                entry[1] += weight
+                break
+        else:
+            entry = [cand, weight]
+            bucket.append((entry, _color_classes(colors)))
+            kept.append(entry)
+    return kept
 
 
 def _odd_cycle_classes(n: int):
@@ -200,10 +204,10 @@ def _odd_cycle_classes(n: int):
     representatives of orders 1..n; representatives of one order are pairwise
     non-isomorphic, so every class appears exactly once.  An automorphism
     permutes the k_C copies of each connected class C and maps each copy
-    onto its image, so |Aut| = prod_C |Aut(C)|^k_C * k_C!.
+    onto its image, so |Aut| = prod_C (|C|!/copies(C))^k_C * k_C!.
     """
-    pool = [g for k in range(1, n + 1) for g in connected_odd_cycle_reps(k)]
-    auts = [a for k in range(1, n + 1) for a in _connected_aut_counts(k)]
+    pool = [g for k in range(1, n + 1) for g, _ in _classes(k, True)]
+    auts = [math.factorial(k) // c for k in range(1, n + 1) for _, c in _classes(k, True)]
 
     def runs(start: int, left: int):
         if not left:
@@ -220,12 +224,6 @@ def _odd_cycle_classes(n: int):
         for i, k in Counter(parts).items():
             aut *= auts[i] ** k * math.factorial(k)
         yield disjoint_union([pool[i] for i in parts]), aut
-
-
-@functools.cache
-def _connected_aut_counts(n: int) -> tuple[int, ...]:
-    """|Aut| of each connected representative of order n, in the same order."""
-    return tuple(automorphism_count(g) for g in connected_odd_cycle_reps(n))
 
 
 # -------------------------------------------------------------------- report
@@ -543,13 +541,12 @@ def verify_dominance(n: int) -> VerificationReport:
     every connected labeled graph of order n and every ordered vertex pair.
     Relabelling g, u and v together changes neither the verdict nor the
     exchange test, so a pair of one graph per connected class stands for
-    n!/|Aut| shifts."""
+    the n!/|Aut| shifts of its labeled copies, counted by _classes."""
     t0 = time.perf_counter()
     _check_order("dominance", n)
     bad: list[str] = []
     checked = exchanged = 0
-    for g in _connected_classes(n):
-        copies = _labeled_copies(g)
+    for g, copies in _classes(n, False):
         for u, v in permutations(range(n), 2):
             shifted, _ = kelmans_transform(g, u, v)
             checked += copies

@@ -395,12 +395,13 @@ def long_odd_cycles(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
 # ------------------------------------------------------------- isomorphism
 
 
-def _refine(n: int, adj, colors: list[int]) -> tuple[tuple[int, ...], tuple]:
+def _refine(n: int, adj) -> tuple[tuple[int, ...], tuple]:
     """Stable colour refinement: (colours, signature), the signature being
     the sorted (colour, sorted neighbour colours) pairs of the last round.
-    From the uniform colouring both follow any relabelling, so the signature
-    is an isomorphism invariant and isomorphisms preserve the colours."""
+    From the degrees both follow any relabelling, so the signature is an
+    isomorphism invariant and isomorphisms preserve the colours."""
     nbrs = [list(iter_bits(row)) for row in adj]
+    colors = [len(row) for row in nbrs]
     while True:
         sigs = [(colors[v], tuple(sorted([colors[w] for w in nbrs[v]]))) for v in range(n)]
         table = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -417,8 +418,9 @@ def _color_classes(colors) -> dict[int, list[int]]:
     return out
 
 
-def _search_mappings(g1: Graph, g2: Graph, c1, c2, count_all: bool) -> int:
-    classes2 = _color_classes(c2)
+def _search_mappings(g1: Graph, g2: Graph, c1, classes2, count_all: bool) -> int:
+    """Isomorphisms from g1 onto g2 that keep the colours c1 of g1 and the
+    colour classes of g2: their number if count_all, else 1 for the first."""
     order = sorted(range(g1.n), key=lambda v: (len(classes2.get(c1[v], ())), c1[v], v))
     adj1, adj2 = g1.adj, g2.adj
     image = [0] * g1.n
@@ -459,16 +461,16 @@ def is_isomorphic(g1: Graph, g2: Graph, max_n: int = ISO_DEFAULT_MAX_N) -> bool:
         raise GraphTooLargeError(f"isomorphism test limited to n <= {max_n}")
     if g1.n != g2.n or g1.m != g2.m:
         return False
-    c1, sig1 = _refine(g1.n, g1.adj, [0] * g1.n)
-    c2, sig2 = _refine(g2.n, g2.adj, [0] * g2.n)
+    c1, sig1 = _refine(g1.n, g1.adj)
+    c2, sig2 = _refine(g2.n, g2.adj)
     if sig1 != sig2:
         return False
-    return _search_mappings(g1, g2, c1, c2, count_all=False) > 0
+    return _search_mappings(g1, g2, c1, _color_classes(c2), count_all=False) > 0
 
 
 def automorphism_count(g: Graph, max_n: int = ISO_DEFAULT_MAX_N + 1) -> int:
     """Order of the automorphism group (same search as is_isomorphic)."""
     if g.n > max_n:
         raise GraphTooLargeError(f"automorphism count limited to n <= {max_n}")
-    c, _ = _refine(g.n, g.adj, [0] * g.n)
-    return _search_mappings(g, g, c, c, count_all=True)
+    c, _ = _refine(g.n, g.adj)
+    return _search_mappings(g, g, c, _color_classes(c), count_all=True)

@@ -159,9 +159,10 @@ def test_structured_class_counts(n, count):
 
 
 def test_structured_classes_are_grown_once():
-    reps = connected_odd_cycle_reps(6)
-    assert isinstance(reps, tuple)
-    assert connected_odd_cycle_reps(6) is reps
+    classes = extremal._classes(6, True)
+    assert isinstance(classes, tuple)
+    assert extremal._classes(6, True) is classes
+    assert connected_odd_cycle_reps(6) == tuple(g for g, _ in classes)
 
 
 def test_structured_classes_cover_labeled_ones():
@@ -479,9 +480,17 @@ def test_dominance_reports_exactly_the_non_isomorphic_weak_shifts(monkeypatch):
     assert rep.witnesses[0].endswith(f", {isomorphic} isomorphic by label exchange")
 
 
+def drop_the_class_symmetries(monkeypatch):
+    # every class counted as if its only automorphism were the identity
+    grown = extremal._classes
+    monkeypatch.setattr(
+        extremal, "_classes", lambda n, odd: tuple((g, math.factorial(n)) for g, _ in grown(n, odd))
+    )
+
+
 def test_dominance_credits_each_class_with_its_labeled_copies(monkeypatch):
-    monkeypatch.setattr(extremal, "automorphism_count", lambda g: 1)
-    assert verify_dominance(4).checked != 456
+    drop_the_class_symmetries(monkeypatch)
+    assert verify_dominance(4).checked == 6 * 12 * 24
 
 
 def test_connected_labeled_counts_oracle():
@@ -494,16 +503,40 @@ def test_connected_labeled_counts_oracle():
     "n,classes", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112), (7, 853)]
 )
 def test_connected_classes_cover_the_labeled_connected_graphs(n, classes):
-    # orbit counting against the exponential-transform count
-    reps = extremal._connected_classes(n)
+    # the generator's labeled counts against the exponential-transform count
+    grown = extremal._classes(n, False)
+    reps = [g for g, _ in grown]
     assert len(reps) == classes
     assert all(g.n == n and is_connected(g) for g in reps)
     if n <= 6:
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 assert not is_isomorphic(reps[i], reps[j])
-    labeled = sum(math.factorial(n) // automorphism_count(g) for g in reps)
-    assert labeled == connected_labeled_counts(n)
+    assert sum(copies for _, copies in grown) == connected_labeled_counts(n)
+
+
+@pytest.mark.parametrize("odd,top", [(True, 8), (False, 6)])
+def test_class_copies_times_automorphisms_is_n_factorial(odd, top):
+    # orbit-stabilizer against the automorphism search
+    for n in range(1, top + 1):
+        for g, copies in extremal._classes(n, odd):
+            assert copies * automorphism_count(g) == math.factorial(n), write_graph6(g)
+
+
+def test_class_sweeps_search_no_automorphism(monkeypatch):
+    # the classes count their own labeled copies, so a cold sweep over them
+    # never searches for automorphisms
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a class sweep searched for automorphisms")
+
+    for memo in vars(extremal).values():
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()
+    monkeypatch.setattr(extremal, "automorphism_count", forbidden)
+    assert verify_radius(6).checked == 342267
+    assert verify_dominance(6).checked == 801120
+    census = extremal._order_census(8)
+    assert sum(entry[0] for size in census.values() for entry in size.groups.values()) == 2858587
 
 
 def test_connected_classes_refuse_an_order_before_growing_any(monkeypatch):
@@ -512,26 +545,27 @@ def test_connected_classes_refuse_an_order_before_growing_any(monkeypatch):
 
     monkeypatch.setattr(extremal, "_one_per_class", grown)
     for n in (0, STRUCTURED_MAX_N + 1):
-        with pytest.raises(GraphTooLargeError):
-            extremal._connected_classes(n)
+        for odd in (True, False):
+            with pytest.raises(GraphTooLargeError):
+                extremal._classes(n, odd)
 
 
 def test_one_per_class_refines_each_candidate_once(monkeypatch):
-    # every labeled graph of order 4 (11 classes), then C6 and 2C3, which
-    # refinement cannot tell apart, each twice under two labellings
+    # every labeled graph of order 4 (11 classes) with weight 1, then C6 and
+    # 2C3, which refinement cannot tell apart, each twice under two labellings
     pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     candidates = [
-        Graph.from_edges(4, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        (Graph.from_edges(4, [p for i, p in enumerate(pairs) if mask >> i & 1]), 1)
         for mask in range(1 << len(pairs))
     ]
     c6, two_c3 = cycle_graph(6), disjoint_union([complete_graph(3)] * 2)
     swap = [1, 0, 2, 3, 4, 5]
-    candidates += [c6, two_c3, c6.relabeled(swap), two_c3.relabeled(swap)]
+    candidates += [(c6, 1), (two_c3, 2), (c6.relabeled(swap), 10), (two_c3.relabeled(swap), 20)]
     refined, refine = [], graphs._refine
 
-    def counted(n, adj, colors):
+    def counted(n, adj):
         refined.append(adj)
-        return refine(n, adj, colors)
+        return refine(n, adj)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the class dedupe computed a matching profile")
@@ -541,10 +575,12 @@ def test_one_per_class_refines_each_candidate_once(monkeypatch):
     monkeypatch.setattr(graphs, "_refine", counted)
     monkeypatch.setattr(extremal, "matching_profile", forbidden)
     reps = extremal._one_per_class(candidates)
-    assert refined == [g.adj for g in candidates]
+    assert refined == [g.adj for g, _ in candidates]
     assert len(reps) == 13
-    assert reps[-2:] == (c6, two_c3)
-    assert sorted(g.m for g in reps[:11]) == [0, 1, 2, 2, 3, 3, 3, 4, 4, 5, 6]
+    assert reps[-2:] == [[c6, 11], [two_c3, 22]]
+    assert sorted(g.m for g, _ in reps[:11]) == [0, 1, 2, 2, 3, 3, 3, 4, 4, 5, 6]
+    # each class sums one unit per labeled copy
+    assert all(weight == 24 // automorphism_count(g) for g, weight in reps[:11])
 
 
 def test_verify_identity_small():
@@ -596,9 +632,7 @@ def test_radius_reports_exactly_the_class_with_a_wrong_radius(monkeypatch):
 
 
 def test_radius_credits_each_class_with_its_labeled_copies(monkeypatch):
-    monkeypatch.setattr(
-        extremal, "_connected_aut_counts", lambda k: (1,) * len(connected_odd_cycle_reps(k))
-    )
+    drop_the_class_symmetries(monkeypatch)
     assert verify_radius(4).checked != 425
 
 

@@ -23,7 +23,7 @@ from oddcycle import (
     star_graph,
     write_graph6,
 )
-from oddcycle.graphs import _blocks, _refine, _search_mappings
+from oddcycle.graphs import _blocks, _color_classes, _refine, _search_mappings
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
@@ -358,13 +358,13 @@ def _assert_relabelled_copy_is_found(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     h = g.relabeled(perm)
-    colors, signature = _refine(g.n, g.adj, [0] * g.n)
-    h_colors, h_signature = _refine(h.n, h.adj, [0] * h.n)
+    colors, signature = _refine(g.n, g.adj)
+    h_colors, h_signature = _refine(h.n, h.adj)
     assert h_signature == signature
     assert all(h_colors[perm[v]] == colors[v] for v in range(g.n))
     # the neighbour tuples hold every edge twice, so the signature fixes m
     assert sum(len(nbrs) for _, nbrs in signature) == 2 * g.m
-    assert _search_mappings(h, g, h_colors, colors, count_all=False) == 1
+    assert _search_mappings(h, g, h_colors, _color_classes(colors), count_all=False) == 1
 
 
 @settings(max_examples=10)

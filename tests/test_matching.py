@@ -173,9 +173,7 @@ def test_a_relabelled_copy_costs_no_second_isolation(cold_memos):
 # memos keyed by an order, which see a handful of keys per process
 ORDER_KEYED = {
     "_field_width",
-    "connected_odd_cycle_reps",
-    "_connected_classes",
-    "_connected_aut_counts",
+    "_classes",
     "_order_census",
 }
 
@@ -198,6 +196,7 @@ def test_memos_are_bounded():
     memos = package_memos()
     assert {"matching_polynomial", "max_real_root", "_sturm_chain"} <= memos.keys()
     assert "max_matching_root" not in memos
+    assert ORDER_KEYED <= memos.keys()
     for name, memo in memos.items():
         want = None if name in ORDER_KEYED else 4096
         assert memo.cache_info().maxsize == want, name
