@@ -34,7 +34,6 @@ from .graphs import (
     _component_mask,
     _refine,
     _search_mappings,
-    automorphism_count,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -185,7 +184,7 @@ def _one_per_class(candidates) -> list[list]:
         colors, signature = _refine(cand.n, cand.adj)
         bucket = buckets.setdefault(signature, [])
         for entry, classes in bucket:
-            if _search_mappings(cand, entry[0], colors, classes, count_all=False):
+            if _search_mappings(cand, entry[0], colors, classes):
                 entry[1] += weight
                 break
         else:
@@ -196,34 +195,36 @@ def _one_per_class(candidates) -> list[list]:
 
 
 def _odd_cycle_classes(n: int):
-    """Stream (graph, |Aut|) for the odd-cycle graphs of order n, one per
-    isomorphism class.
+    """Stream (graph, labeled copies) for the odd-cycle graphs of order n,
+    one per isomorphism class.
 
     Such a graph is a multiset of connected classes whose orders sum to n.
     The multisets are visited as nondecreasing index runs over the connected
     representatives of orders 1..n; representatives of one order are pairwise
-    non-isomorphic, so every class appears exactly once.  An automorphism
-    permutes the k_C copies of each connected class C and maps each copy
-    onto its image, so |Aut| = prod_C (|C|!/copies(C))^k_C * k_C!.
+    non-isomorphic, so every class appears exactly once.  A labeled copy
+    splits the n labels into the k_C unordered |C|-sets of each connected
+    class C and puts a labeled copy of C on each set, so there are
+    n! * prod_C copies(C)^k_C / (|C|!^k_C * k_C!) of them.
     """
-    pool = [g for k in range(1, n + 1) for g, _ in _classes(k, True)]
-    auts = [math.factorial(k) // c for k in range(1, n + 1) for _, c in _classes(k, True)]
+    pool = [(g, c) for k in range(1, n + 1) for g, c in _classes(k, True)]
 
     def runs(start: int, left: int):
         if not left:
             yield []
             return
         for i in range(start, len(pool)):
-            if pool[i].n > left:
+            if pool[i][0].n > left:
                 break
-            for rest in runs(i, left - pool[i].n):
+            for rest in runs(i, left - pool[i][0].n):
                 yield [i, *rest]
 
     for parts in runs(0, n):
-        aut = 1
+        copies, split = math.factorial(n), 1
         for i, k in Counter(parts).items():
-            aut *= auts[i] ** k * math.factorial(k)
-        yield disjoint_union([pool[i] for i in parts]), aut
+            g, c = pool[i]
+            copies *= c ** k
+            split *= math.factorial(g.n) ** k * math.factorial(k)
+        yield disjoint_union([pool[i][0] for i in parts]), copies // split
 
 
 # -------------------------------------------------------------------- report
@@ -330,16 +331,16 @@ def _order_census(n: int) -> Mapping[int, _SizeCensus]:
     """Read-only {m: _SizeCensus} for 1 <= m <= edge_cap(n), built once per
     process and shared by the classification and conjecture sweeps.
 
-    Each class counts its n!/|Aut| labeled copies, so the totals equal a
-    sweep over every labeled edge subset.
+    Each class counts its labeled copies, so the totals equal a sweep over
+    every labeled edge subset.
     """
     census: dict[int, dict[tuple[int, ...], list]] = {m: {} for m in range(1, edge_cap(n) + 1)}
-    for g, aut in _odd_cycle_classes(n):
+    for g, copies in _odd_cycle_classes(n):
         if not g.m:
             continue
         g6 = write_graph6(g)
         entry = census[g.m].setdefault(matching_profile(g).counts, [0, g6])
-        entry[0] += math.factorial(n) // aut
+        entry[0] += copies
         entry[1] = min(entry[1], g6)
     out = {}
     for m, groups in census.items():
@@ -355,37 +356,38 @@ def _pad_to(g: Graph, n: int) -> Graph:
     return disjoint_union([g, Graph.empty(n - g.n)])
 
 
-def _labeled_copies(g: Graph) -> int:
-    """n!/|Aut(G)|, with |Aut(G)| = |Aut(G - I)| * |I|! for the isolated
-    vertices I, so the automorphism search sees only the part with edges."""
-    busy = [v for v in range(g.n) if g.adj[v]]
-    aut = math.factorial(g.n - len(busy))
-    if busy:
-        aut *= automorphism_count(g.induced(busy)[0])
-    return math.factorial(g.n) // aut
-
-
 def _F_quartic(n: int, m: int) -> IntPolynomial:
     """x^4 - n x^2 + p, p = 3n - 3 - 2m, whose largest root is t(F(n, m)):
     x(x^2 - 1) m(F, x) = x^p (x^2 - 1)^k (x^4 - n x^2 + p), k = m - n + 1."""
     return IntPolynomial.from_coeffs([3 * n - 3 - 2 * m, 0, -n, 0, 1])
 
 
-def _claimed_maximizers(n: int, m: int) -> tuple[list[Graph], IntPolynomial]:
-    """Expected max-root winners of order n and size m, plus a polynomial
-    the maximum value must be a root of: _F_quartic for F(n, m)."""
+def _centred_copies(n: int, s: int, k: int) -> int:
+    """Labeled copies of a star K_{1,s} with k disjoint edges among its
+    leaves, padded with n - s - 1 isolated vertices.  For s >= 3, or s = 2
+    and k = 0, the centre is the only vertex adjacent to every other vertex
+    with an edge, so a copy is a choice of the centre, the k unordered
+    matched pairs, the s - 2k other leaves and the isolated vertices."""
+    parts = 2 ** k * math.factorial(k) * math.factorial(s - 2 * k) * math.factorial(n - s - 1)
+    return math.factorial(n) // parts
+
+
+def _claimed_maximizers(n: int, m: int) -> tuple[list[tuple[Graph, int]], IntPolynomial]:
+    """Expected max-root winners of order n and size m, each with its
+    labeled copies, plus a polynomial the maximum value must be a root of:
+    _F_quartic for F(n, m).  K2 and K3 have no centre: a copy is a vertex
+    set, C(n, 2) or C(n, 3) of them."""
+    sqrt_m = IntPolynomial.from_coeffs([-m, 0, 1])
     if m == 1:
-        return [_pad_to(complete_graph(2), n)], IntPolynomial.from_coeffs([-1, 0, 1])
-    if m == 2:
-        return [_pad_to(star_graph(2), n)], IntPolynomial.from_coeffs([-2, 0, 1])
+        return [(_pad_to(complete_graph(2), n), math.comb(n, 2))], sqrt_m
     if m == 3:
-        claimed = [_pad_to(cycle_graph(3), n)]
+        claimed = [(_pad_to(cycle_graph(3), n), math.comb(n, 3))]
         if n >= 4:
-            claimed.append(_pad_to(star_graph(3), n))
-        return claimed, IntPolynomial.from_coeffs([-3, 0, 1])
-    if m <= n - 2:
-        return [_pad_to(star_graph(m), n)], IntPolynomial.from_coeffs([-m, 0, 1])
-    return [make_F(n, m)], _F_quartic(n, m)
+            claimed.append((_pad_to(star_graph(3), n), _centred_copies(n, 3, 0)))
+        return claimed, sqrt_m
+    if m <= max(2, n - 2):
+        return [(_pad_to(star_graph(m), n), _centred_copies(n, m, 0))], sqrt_m
+    return [(make_F(n, m), _centred_copies(n, n - 1, m - n + 1))], _F_quartic(n, m)
 
 
 def verify_classification(n: int) -> VerificationReport:
@@ -401,11 +403,11 @@ def verify_classification(n: int) -> VerificationReport:
         groups, root, champs = size.groups, size.root, size.champions
         checked += sum(entry[0] for entry in groups.values())
         claimed, value_poly = _claimed_maximizers(n, m)
-        claimed_profiles = {matching_profile(g).counts for g in claimed}
+        claimed_profiles = {matching_profile(g).counts for g, _ in claimed}
         witness = min(groups[p][1] for p in champs)
         if set(champs) != claimed_profiles:
             bad.append(f"n={n} m={m}: unexpected maximizer profile, witness {witness}")
-        expected_count = sum(_labeled_copies(g) for g in claimed)
+        expected_count = sum(copies for _, copies in claimed)
         actual_count = sum(groups[p][0] for p in champs)
         if actual_count != expected_count:
             bad.append(
@@ -432,7 +434,7 @@ def verify_conjecture(n: int) -> VerificationReport:
     best_root, winners = _running_best(
         (size.root, [(m, p) for p in size.champions]) for m, size in census.items()
     )
-    h = make_H(n)
+    [(h, h_copies)], _ = _claimed_maximizers(n, edge_cap(n))
     h_prof = matching_profile(h).counts
     if best_root.compare_to_rational(0) != GT:
         bad.append(f"n={n}: maximum root not positive, edgeless graph ties")
@@ -440,10 +442,8 @@ def verify_conjecture(n: int) -> VerificationReport:
         bad.append(f"n={n}: global maximizer set is not the edge-maximal family")
     else:
         count = census[edge_cap(n)].groups[h_prof][0]
-        if count != _labeled_copies(h):
-            bad.append(
-                f"n={n}: {count} labeled maximizers, expected {_labeled_copies(h)} copies"
-            )
+        if count != h_copies:
+            bad.append(f"n={n}: {count} labeled maximizers, expected {h_copies} copies")
     universe = f"all labeled odd-cycle graphs of order {n}"
     witness = f"n={n}: t(H_{n})~{best_root.decimal_str(6)}, {write_graph6(h)}"
     return _report("conjecture", universe, checked, bad, [witness], t0)
@@ -541,7 +541,7 @@ def verify_dominance(n: int) -> VerificationReport:
     every connected labeled graph of order n and every ordered vertex pair.
     Relabelling g, u and v together changes neither the verdict nor the
     exchange test, so a pair of one graph per connected class stands for
-    the n!/|Aut| shifts of its labeled copies, counted by _classes."""
+    the shifts of its labeled copies, counted by _classes."""
     t0 = time.perf_counter()
     _check_order("dominance", n)
     bad: list[str] = []
@@ -618,13 +618,12 @@ def verify_radius(n: int) -> VerificationReport:
     orientation of every odd-cycle graph of order n, by exact comparison.
     Relabelling and switching are similarities on the skew matrix, so the
     switching representatives of one graph per isomorphism class stand for
-    its n!/|Aut| * 2^m labeled orientations."""
+    its labeled copies times 2^m orientations."""
     t0 = time.perf_counter()
     _check_order("radius", n)
     bad: list[str] = []
     orientations = evaluated = graphs = 0
-    for g, aut in _odd_cycle_classes(n):
-        copies = math.factorial(n) // aut
+    for g, copies in _odd_cycle_classes(n):
         graphs += copies
         orientations += copies << g.m
         match_root = max_matching_root(g)

@@ -4,8 +4,9 @@ Vertices are 0..n-1 with n <= 64, so every adjacency row fits in a single
 machine word and induced subgraphs are plain vertex masks.  Includes
 connectivity, the all-cycles-odd test, one biconnected-block walk that
 gives the component count and long odd cycles of a graph whose blocks are
-edges and odd cycles, and a refinement-plus-backtracking isomorphism test
-for small n.
+edges and odd cycles, and a refinement-plus-backtracking search that
+answers whether two small graphs are isomorphic.  Nothing here counts
+automorphisms.
 """
 
 from __future__ import annotations
@@ -418,19 +419,16 @@ def _color_classes(colors) -> dict[int, list[int]]:
     return out
 
 
-def _search_mappings(g1: Graph, g2: Graph, c1, classes2, count_all: bool) -> int:
-    """Isomorphisms from g1 onto g2 that keep the colours c1 of g1 and the
-    colour classes of g2: their number if count_all, else 1 for the first."""
+def _search_mappings(g1: Graph, g2: Graph, c1, classes2) -> bool:
+    """Whether some isomorphism from g1 onto g2 keeps the colours c1 of g1
+    and the colour classes of g2; stops at the first one found."""
     order = sorted(range(g1.n), key=lambda v: (len(classes2.get(c1[v], ())), c1[v], v))
     adj1, adj2 = g1.adj, g2.adj
     image = [0] * g1.n
-    found = 0
 
     def extend(i: int, used: int) -> bool:
-        nonlocal found
         if i == len(order):
-            found += 1
-            return not count_all
+            return True
         v = order[i]
         for w in classes2.get(c1[v], ()):
             if (used >> w) & 1:
@@ -447,12 +445,12 @@ def _search_mappings(g1: Graph, g2: Graph, c1, classes2, count_all: bool) -> int
                     return True
         return False
 
-    extend(0, 0)
-    return found
+    return extend(0, 0)
 
 
 def is_isomorphic(g1: Graph, g2: Graph, max_n: int = ISO_DEFAULT_MAX_N) -> bool:
-    """Exact isomorphism test by color refinement plus backtracking.
+    """Exact isomorphism test: colour refinement, then a backtracking search
+    that stops at the first isomorphism.
 
     Raises GraphTooLargeError above max_n (the exhaustive search is only
     intended for small graphs).
@@ -465,12 +463,4 @@ def is_isomorphic(g1: Graph, g2: Graph, max_n: int = ISO_DEFAULT_MAX_N) -> bool:
     c2, sig2 = _refine(g2.n, g2.adj)
     if sig1 != sig2:
         return False
-    return _search_mappings(g1, g2, c1, _color_classes(c2), count_all=False) > 0
-
-
-def automorphism_count(g: Graph, max_n: int = ISO_DEFAULT_MAX_N + 1) -> int:
-    """Order of the automorphism group (same search as is_isomorphic)."""
-    if g.n > max_n:
-        raise GraphTooLargeError(f"automorphism count limited to n <= {max_n}")
-    c, _ = _refine(g.n, g.adj)
-    return _search_mappings(g, g, c, _color_classes(c), count_all=True)
+    return _search_mappings(g1, g2, c1, _color_classes(c2))

@@ -6,8 +6,9 @@ Laplace expansion for characteristic polynomials, frozenset bookkeeping for
 matching counts, numpy subset tests for the bulk matching census,
 edge-subset combinations filtered by the odd, edge-disjoint fundamental
 cycles of a BFS spanning forest for the labeled odd-cycle enumeration, the
-exponential transform of 2^C(n,2) for connected labeled counts, and
-Fraction arithmetic for root bisection, Sturm counts and dominance.  Slow
+exponential transform of 2^C(n,2) for connected labeled counts, a plain
+backtracking search over degree-preserving maps for automorphism counts,
+and Fraction arithmetic for root bisection, Sturm counts and dominance.  Slow
 is fine; these exist to be obviously right.  The two identity checks at the end are the
 exception: they hold the library's own matching polynomials to the deletion
 and disjoint-union identities.
@@ -451,6 +452,30 @@ def connected_labeled_counts(n: int) -> int:
         )
         c.append(2 ** comb(order, 2) - split)
     return c[n]
+
+
+def automorphism_count(g: Graph) -> int:
+    """|Aut(g)| by plain backtracking: vertex v, in label order, goes to each
+    unused vertex of its degree whose adjacency to the images of 0..v-1
+    matches its own.  No colour refinement, so it shares nothing with the
+    library's isomorphism search."""
+    n, adj = g.n, g.adj
+    degree = [row.bit_count() for row in adj]
+    image = [0] * n
+
+    def extend(v: int, used: int) -> int:
+        if v == n:
+            return 1
+        total = 0
+        for w in range(n):
+            if (used >> w) & 1 or degree[w] != degree[v]:
+                continue
+            if all((adj[v] >> u) & 1 == (adj[w] >> image[u]) & 1 for u in range(v)):
+                image[v] = w
+                total += extend(v + 1, used | 1 << w)
+        return total
+
+    return extend(0, 0)
 
 
 def check_deletion_identity(g, edge: tuple[int, int]) -> bool:

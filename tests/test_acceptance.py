@@ -15,14 +15,18 @@ import re
 import time
 from fractions import Fraction
 
-from oracles import bulk_matching_profiles, graph6_reference, labeled_odd_cycle_graphs
+from oracles import (
+    automorphism_count,
+    bulk_matching_profiles,
+    graph6_reference,
+    labeled_odd_cycle_graphs,
+)
 
 from oddcycle import (
     EQ,
     GT,
     Graph,
     IntPolynomial,
-    automorphism_count,
     complete_graph,
     connected_odd_cycle_reps,
     cycle_graph,

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import re
 
 import pytest
@@ -15,7 +17,6 @@ from oddcycle import (
     SwitchingClasses,
     VerificationReport,
     all_orientations,
-    automorphism_count,
     compare_roots,
     complete_graph,
     connected_odd_cycle_reps,
@@ -46,11 +47,17 @@ from oddcycle import (
     write_graph6,
 )
 
+import oddcycle
 from oddcycle import extremal, graphs, reduce_to_F
 from oddcycle.extremal import STRUCTURED_MAX_N, _odd_cycle_classes
 from oddcycle.roots import LT
 from oddcycle.kelmans import _is_star_plus_matching
-from oracles import connected_labeled_counts, has_even_cycle, labeled_odd_cycle_graphs
+from oracles import (
+    automorphism_count,
+    connected_labeled_counts,
+    has_even_cycle,
+    labeled_odd_cycle_graphs,
+)
 
 
 def test_edge_cap_values():
@@ -214,10 +221,10 @@ def test_order_census_is_built_once_and_read_only(monkeypatch):
         size.champions = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         size.root.lo = 0
-    # connected classes keep their |Aut| for the rest of the process
+    # connected classes keep their copies for the rest of the process
     list(_odd_cycle_classes(5))
-    monkeypatch.setattr(extremal, "automorphism_count", None)
-    assert [aut for _, aut in _odd_cycle_classes(5)]
+    monkeypatch.setattr(extremal, "_one_per_class", None)
+    assert [copies for _, copies in _odd_cycle_classes(5)]
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -237,26 +244,35 @@ def test_conjecture_reuses_the_classification_census(n, monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_class_automorphism_closed_form(n):
-    # prod |Aut(C)|^k * k! over the components must match the group search
-    for g, aut in _odd_cycle_classes(n):
-        assert aut == automorphism_count(g)
+    # the multiset formula for copies against orbit-stabilizer with the oracle
+    for g, copies in _odd_cycle_classes(n):
+        assert copies * automorphism_count(g) == math.factorial(n), write_graph6(g)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_labeled_copies_search_only_the_part_with_edges(n, monkeypatch):
-    searched = []
-    search = extremal.automorphism_count
+def test_claimed_copies_match_the_automorphism_oracle():
+    # padded K2, K3 and stars, and F(n, m), from n = 2 up
+    for n in range(2, 9):
+        for m in range(1, edge_cap(n) + 1):
+            for g, copies in extremal._claimed_maximizers(n, m)[0]:
+                assert copies * automorphism_count(g) == math.factorial(n), (n, m)
 
-    def counting(g, *args, **kwargs):
-        searched.append(g)
-        return search(g, *args, **kwargs)
 
-    monkeypatch.setattr(extremal, "automorphism_count", counting)
-    padded = [extremal._pad_to(g, n) for k in range(1, n + 1) for g in connected_odd_cycle_reps(k)]
-    for g in padded:
-        assert extremal._labeled_copies(g) == math.factorial(n) // automorphism_count(g)
-    assert all(min(h.adj) for h in searched)
-    assert len(searched) == len(padded) - 1  # all but the single vertex have edges
+@pytest.mark.parametrize("n", [9, 10])
+def test_claimed_copies_match_their_class(n):
+    # past the oracle's reach, against the copies the class generator counts
+    def degrees(g):
+        return sorted(row.bit_count() for row in g.adj)
+
+    claimed = [c for m in range(1, edge_cap(n) + 1) for c in extremal._claimed_maximizers(n, m)[0]]
+    wanted = {(g.m, tuple(degrees(g))) for g, _ in claimed}
+    found = {g: [] for g, _ in claimed}
+    for h, copies in _odd_cycle_classes(n):
+        if (h.m, tuple(degrees(h))) in wanted:
+            for g in found:
+                if is_isomorphic(g, h):
+                    found[g].append(copies)
+    assert len(claimed) == edge_cap(n) + 1  # the m = 3 tie adds K_{1,3}
+    assert [found[g] for g, _ in claimed] == [[copies] for _, copies in claimed]
 
 
 # ------------------------------------------------------------------ reports
@@ -481,8 +497,13 @@ def test_dominance_reports_exactly_the_non_isomorphic_weak_shifts(monkeypatch):
 
 
 def drop_the_class_symmetries(monkeypatch):
-    # every class counted as if its only automorphism were the identity
+    # every class counted as if its only automorphism were the identity; the
+    # real classes up to order 4 are grown first, because growing an order
+    # reads the one below through the patched name and would memoize it
     grown = extremal._classes
+    for n in range(1, 5):
+        for odd in (True, False):
+            grown(n, odd)
     monkeypatch.setattr(
         extremal, "_classes", lambda n, odd: tuple((g, math.factorial(n)) for g, _ in grown(n, odd))
     )
@@ -523,16 +544,19 @@ def test_class_copies_times_automorphisms_is_n_factorial(odd, top):
             assert copies * automorphism_count(g) == math.factorial(n), write_graph6(g)
 
 
-def test_class_sweeps_search_no_automorphism(monkeypatch):
-    # the classes count their own labeled copies, so a cold sweep over them
-    # never searches for automorphisms
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a class sweep searched for automorphisms")
-
+def test_class_sweeps_search_no_automorphism():
+    # the classes count their own labeled copies, so no module of the package
+    # defines or imports an automorphism counter, and cold sweeps still hold
+    modules = [oddcycle] + [
+        importlib.import_module(f"oddcycle.{info.name}")
+        for info in pkgutil.iter_modules(oddcycle.__path__)
+        if info.name != "__main__"
+    ]
+    for module in modules:
+        assert not [name for name in vars(module) if "automorphism" in name.lower()], module
     for memo in vars(extremal).values():
         if hasattr(memo, "cache_clear"):
             memo.cache_clear()
-    monkeypatch.setattr(extremal, "automorphism_count", forbidden)
     assert verify_radius(6).checked == 342267
     assert verify_dominance(6).checked == 801120
     census = extremal._order_census(8)
