@@ -10,9 +10,9 @@ an isomorphism only among kept graphs with the same refinement signature.
 The sweeps here machine-check the classification of max-root maximizers,
 grid monotonicity of t(F(n, m)), the reduction to F, the dominance behaviour
 of the Kelmans shift, and the identity and the spectral radius of skew
-matrices.  Every sweep runs in the calling process.  The identity sweep is
-the only one that walks every labeled edge mask, in _labeled_rows; all
-others but the grid run over isomorphism classes.  Each sweep returns a
+matrices.  Every sweep runs in the calling process.  All but the grid run
+over isomorphism classes; the identity sweep also walks the labeled graphs
+with an even cycle, in _labeled_rows.  Each sweep returns a
 VerificationReport; a nonempty counterexample list means the claim failed.
 """
 
@@ -54,7 +54,13 @@ from .kelmans import (
 from .matching import matching_profile, polynomial_from_profile
 from .polynomials import IntPolynomial
 from .roots import EQ, GT, AlgebraicRoot, compare_roots, max_matching_root, max_real_root
-from .skew import Orientation, SwitchingClasses, _identity_target, skew_char_poly, skew_spectral_radius
+from .skew import (
+    Orientation,
+    _identity_target,
+    skew_char_poly,
+    skew_spectral_radius,
+    switching_representatives,
+)
 
 STRUCTURED_MAX_N = 11
 
@@ -105,7 +111,8 @@ def make_H(n: int) -> Graph:
 
 def _labeled_rows(n: int):
     """Yield every labeled graph of order n, edge masks ascending.  Bit k of
-    the mask is the k-th vertex pair in lexicographic order."""
+    the mask is the k-th vertex pair in lexicographic order.  The identity
+    sweep walks them for the graphs with an even cycle."""
     pairs = []  # (u, v, bit of u, bit of v, bit of the pair in the mask)
     for u in range(n):
         for v in range(u + 1, n):
@@ -578,38 +585,44 @@ def verify_identity(n: int) -> VerificationReport:
     """Coefficient identity between the skew characteristic polynomial and
     the unsigned matching-count polynomial: holds for every orientation of
     every odd-cycle graph of order n, and fails for at least one orientation
-    of every other graph of order n."""
+    of every other graph of order n.  The odd-cycle graphs run like
+    verify_radius, one switching representative per class of one graph per
+    isomorphism class.  Each labeled graph with an even cycle is walked mask
+    by mask in ascending order up to its first violation, which is all
+    that direction needs."""
     t0 = time.perf_counter()
     _check_order("identity", n)
     bad: list[str] = []
     orientations = evaluated = graphs = 0
+    for g, copies in _odd_cycle_classes(n):
+        graphs += copies
+        orientations += copies << g.m
+        target = _identity_target(g)
+        for rep in switching_representatives(g):
+            evaluated += 1
+            if skew_char_poly(Orientation(g, rep)) != target:
+                bad.append(
+                    f"{write_graph6(g)} orientation {rep:#x} and its switching class: "
+                    "identity fails"
+                )
     for g in _labeled_rows(n):
+        if is_odd_cycle_graph(g):
+            continue
         graphs += 1
         target = _identity_target(g)
-        odd = is_odd_cycle_graph(g)
-        classes = SwitchingClasses(g)
-        # det(xI - S) is constant on a switching class; masks are still walked
-        # in ascending order so the first violation is found where it was
-        holds: dict[int, bool] = {}
-        for omask in range(1 << g.m):
+        for mask in range(1 << g.m):
             orientations += 1
-            rep = classes.representative(omask)
-            ok = holds.get(rep)
-            if ok is None:
-                ok = holds[rep] = skew_char_poly(Orientation(g, rep)) == target
-            if not ok:
+            evaluated += 1
+            if skew_char_poly(Orientation(g, mask)) != target:
                 break
-        evaluated += len(holds)
-        if odd and not ok:
-            bad.append(f"{write_graph6(g)} orientation {omask:#x}: identity fails")
-        elif not odd and ok:
+        else:
             bad.append(
                 f"{write_graph6(g)}: every orientation satisfies the identity "
                 "despite an even cycle"
             )
     universe = f"all labeled graphs of order {n}, both identity directions"
     witness = (f"n={n}: {graphs} graphs, {orientations} orientations covered, "
-               f"{evaluated} switching classes evaluated")
+               f"{evaluated} characteristic polynomials evaluated")
     return _report("identity", universe, orientations, sorted(bad), [witness], t0)
 
 
@@ -627,7 +640,7 @@ def verify_radius(n: int) -> VerificationReport:
         graphs += copies
         orientations += copies << g.m
         match_root = max_matching_root(g)
-        for rep in SwitchingClasses(g).representatives():
+        for rep in switching_representatives(g):
             evaluated += 1
             if compare_roots(skew_spectral_radius(Orientation(g, rep)), match_root) != EQ:
                 bad.append(

@@ -7,8 +7,8 @@ by Berkowitz's division-free recurrence, specialised to skew S: a block M of
 S is skew, and so is M^j for odd j, so c^T M^j c = 0 for odd j and
 c^T M^(2i) c = (-1)^i |M^i c|^2.  Each step then needs half the products
 with M, and det(xI - S) has only the terms x^(n - 2i).  It is constant on
-each switching class of orientations, so sweeps evaluate one representative
-per class.
+each switching class of orientations, so the radius sweep, and the identity
+sweep on odd-cycle graphs, evaluate one representative per class.
 """
 
 from __future__ import annotations
@@ -59,57 +59,37 @@ class Orientation:
         return s
 
 
-class SwitchingClasses:
-    """The switching classes of the orientations of one graph.
+def switching_representatives(g: Graph):
+    """Yield one orientation mask per switching class of g, ascending.
 
     Switching a vertex reverses every arc at it, which negates its row and
     column of S.  That is a similarity D S D, so det(xI - S) is the same on
     a whole class.  Every class has exactly one mask whose bits on the arcs
     of a fixed BFS spanning forest are all 0, so a graph with c components
-    has 2^(m - n + c) classes, one per setting of the non-tree bits.
+    has 2^(m - n + c) classes: every subset of the non-tree bits.
     """
-
-    def __init__(self, g: Graph):
-        cut = [0] * g.n  # edges at v; later, the edges leaving v's BFS subtree
-        for k, (u, v) in enumerate(g.edge_list()):
-            cut[u] |= 1 << k
-            cut[v] |= 1 << k
-        steps = []  # (parent, child, tree-edge bit) in BFS order
-        seen = 0
-        for root in range(g.n):
-            if seen >> root & 1:
-                continue
-            seen |= 1 << root
-            queue = [root]
-            for u in queue:
-                for v in iter_bits(g.adj[u] & ~seen):
-                    seen |= 1 << v
-                    steps.append((u, v, cut[u] & cut[v]))
-                    queue.append(v)
-        for parent, child, _ in reversed(steps):
-            cut[parent] ^= cut[child]
-        self.free = (1 << g.m) - 1 - sum(bit for _, _, bit in steps)
-        # switching the subtree below a tree edge clears that edge's bit and
-        # flips these non-tree bits
-        self._flips = tuple((bit, cut[child] & self.free) for _, child, bit in steps)
-
-    def representatives(self):
-        """Yield one mask per class, ascending: every subset of the free bits."""
-        free = self.free
-        mask = 0
-        while True:
-            yield mask
-            if mask == free:
-                return
-            mask = (mask - free) & free
-
-    def representative(self, mask: int) -> int:
-        """The representative of the class that contains mask."""
-        rep = mask & self.free
-        for bit, flips in self._flips:
-            if mask & bit:
-                rep ^= flips
-        return rep
+    incident = [0] * g.n  # the edge bits at each vertex
+    for k, (u, v) in enumerate(g.edge_list()):
+        incident[u] |= 1 << k
+        incident[v] |= 1 << k
+    free = (1 << g.m) - 1
+    seen = 0
+    for root in range(g.n):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        queue = [root]
+        for u in queue:
+            for v in iter_bits(g.adj[u] & ~seen):
+                seen |= 1 << v
+                free &= ~(incident[u] & incident[v])
+                queue.append(v)
+    mask = 0
+    while True:
+        yield mask
+        if mask == free:
+            return
+        mask = (mask - free) & free
 
 
 def all_orientations(g: Graph):
@@ -227,5 +207,5 @@ def max_skew_spectral_radius(g: Graph) -> AlgebraicRoot:
     """
     if g.m > RADIUS_SWEEP_MAX_M:
         raise GraphTooLargeError(f"radius sweep limited to m <= {RADIUS_SWEEP_MAX_M}")
-    reps = SwitchingClasses(g).representatives()
+    reps = switching_representatives(g)
     return max((skew_spectral_radius(Orientation(g, mask)) for mask in reps), key=cmp_to_key(compare_roots))

@@ -114,6 +114,8 @@ def test_criterion_2_identity_sweep():
     )
     if not merged.passed:
         problems.extend(merged.counterexamples[:3])
+    if merged.checked != 380092:
+        problems.append(f"expected 380092 orientations, saw {merged.checked}")
     elapsed = time.perf_counter() - t0
     _budget(problems, elapsed, 600.0 * SCALE)
     _verdict(

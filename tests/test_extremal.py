@@ -14,7 +14,6 @@ from oddcycle import (
     GraphTooLargeError,
     IntPolynomial,
     ReductionTrace,
-    SwitchingClasses,
     VerificationReport,
     all_orientations,
     compare_roots,
@@ -37,6 +36,7 @@ from oddcycle import (
     parse_graph6,
     skew_spectral_radius,
     star_graph,
+    switching_representatives,
     verify_classification,
     verify_conjecture,
     verify_dominance,
@@ -54,9 +54,11 @@ from oddcycle.roots import LT
 from oddcycle.kelmans import _is_star_plus_matching
 from oracles import (
     automorphism_count,
+    charpoly_reference,
     connected_labeled_counts,
     has_even_cycle,
     labeled_odd_cycle_graphs,
+    matchings_by_size_reference,
 )
 
 
@@ -612,6 +614,58 @@ def test_verify_identity_small():
     rep = verify_identity(4)
     assert rep.passed
     assert rep.claim == "identity"
+    # 10 switching representatives of the odd-cycle classes, and one mask
+    # for each of the 10 labeled graphs with an even cycle
+    assert rep.witnesses == (
+        "n=4: 64 graphs, 435 orientations covered, 20 characteristic polynomials evaluated",
+    )
+
+
+@pytest.mark.parametrize("n,total", [(1, 1), (2, 3), (3, 27), (4, 435), (5, 10936)])
+def test_identity_matches_a_labeled_walk_over_every_orientation(n, total):
+    # no switching classes and no class copies: every orientation of every
+    # labeled graph by Laplace expansion, up to the first violation when the
+    # graph has an even cycle
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    seen = 0
+    for emask in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if emask >> i & 1]
+        g = Graph.from_edges(n, edges)
+        even = has_even_cycle(n, edges)
+        want = [0] * (n + 1)
+        for k, count in enumerate(matchings_by_size_reference(n, edges)):
+            want[n - 2 * k] = count
+        violated = False
+        for o in all_orientations(g):
+            seen += 1
+            if list(charpoly_reference(o.skew_matrix())[: n + 1]) != want:
+                violated = True
+                break
+        assert violated == even, (write_graph6(g), o.mask)
+    assert seen == total == verify_identity(n).checked
+
+
+def test_identity_reports_exactly_the_class_with_a_wrong_polynomial(monkeypatch):
+    paw = next(g for g, _ in _odd_cycle_classes(4) if g.m == 4)
+    wrong = list(switching_representatives(paw))[-1]
+    real = extremal.skew_char_poly
+
+    def char_poly(o):
+        if o.graph == paw and o.mask == wrong:
+            return IntPolynomial.from_coeffs([0, 0, 0, 0, 1])
+        return real(o)
+
+    monkeypatch.setattr(extremal, "skew_char_poly", char_poly)
+    rep = verify_identity(4)
+    assert rep.checked == 435
+    assert rep.counterexamples == (
+        f"{write_graph6(paw)} orientation {wrong:#x} and its switching class: identity fails",
+    )
+
+
+def test_identity_credits_each_class_with_its_labeled_copies(monkeypatch):
+    drop_the_class_symmetries(monkeypatch)
+    assert verify_identity(4).checked != 435
 
 
 def test_verify_radius_small():
@@ -638,7 +692,7 @@ def test_radius_matches_a_labeled_walk_over_every_orientation(n, total):
 def test_radius_reports_exactly_the_class_with_a_wrong_radius(monkeypatch):
     # the paw (a triangle with a pendant edge) has two switching classes
     paw = next(g for g, _ in _odd_cycle_classes(4) if g.m == 4)
-    wrong = list(SwitchingClasses(paw).representatives())[-1]
+    wrong = list(switching_representatives(paw))[-1]
     real = extremal.skew_spectral_radius
 
     def radius(o):

@@ -8,7 +8,6 @@ from oddcycle import (
     Graph,
     GraphTooLargeError,
     Orientation,
-    SwitchingClasses,
     all_orientations,
     compare_roots,
     complete_graph,
@@ -21,6 +20,7 @@ from oddcycle import (
     polynomial_from_profile,
     skew_char_poly,
     skew_spectral_radius,
+    switching_representatives,
 )
 from oddcycle.skew import _identity_target
 
@@ -76,7 +76,7 @@ def test_char_poly_matches_laplace_expansion_exhaustive():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for emask in range(1 << len(pairs)):
             g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (emask >> i) & 1])
-            masks = range(1 << g.m) if n <= 4 else SwitchingClasses(g).representatives()
+            masks = range(1 << g.m) if n <= 4 else switching_representatives(g)
             for mask in masks:
                 o = Orientation(g, mask)
                 assert skew_char_poly(o).coeffs == charpoly_reference(o.skew_matrix())[: n + 1]
@@ -111,8 +111,13 @@ def _switched(o: Orientation, vertices: int) -> Orientation:
 def test_switching_keeps_class_and_char_poly(o, vertices):
     vertices &= (1 << o.graph.n) - 1
     switched = _switched(o, vertices)
-    classes = SwitchingClasses(o.graph)
-    assert classes.representative(switched.mask) == classes.representative(o.mask)
+    # the switchings of o reach exactly one representative, and the same one
+    # from the switched orientation
+    reps = set(switching_representatives(o.graph))
+    cuts = {_switched(Orientation(o.graph, 0), x).mask for x in range(1 << o.graph.n)}
+    reached = {o.mask ^ cut for cut in cuts} & reps
+    assert len(reached) == 1
+    assert {switched.mask ^ cut for cut in cuts} & reps == reached
     want = charpoly_reference(o.skew_matrix())[: o.graph.n + 1]
     assert skew_char_poly(switched).coeffs == want
 
@@ -137,22 +142,21 @@ def _component_count(g: Graph) -> int:
 
 
 def test_switching_representatives_exhaustive():
+    # as many representatives as classes, and no two in one class: exactly
+    # one representative per class
     for n in range(1, 6):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for emask in range(1 << len(pairs)):
             g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (emask >> i) & 1])
-            classes = SwitchingClasses(g)
-            reps = list(classes.representatives())
+            reps = list(switching_representatives(g))
             c = _component_count(g)
+            assert reps == sorted(reps)
             assert len(set(reps)) == len(reps) == 1 << (g.m - n + c)
-            # every mask maps to a representative reachable from it by switching
             base = Orientation(g, 0)
             cuts = {_switched(base, x).mask for x in range(1 << n)}
-            assert {classes.representative(r) for r in reps} == set(reps)
-            for mask in range(1 << g.m):
-                r = classes.representative(mask)
-                assert r in reps
-                assert mask ^ r in cuts
+            for i, a in enumerate(reps):
+                for b in reps[i + 1:]:
+                    assert a ^ b not in cuts
 
 
 def test_identity_on_triangle():
