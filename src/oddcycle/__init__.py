@@ -26,7 +26,6 @@ from .graphs import (
 )
 from .polynomials import IntPolynomial
 from .matching import (
-    MatchingProfile,
     matching_polynomial,
     matching_profile,
     polynomial_from_profile,
@@ -91,7 +90,6 @@ __all__ = [
     "KelmansPhase",
     "KelmansStep",
     "LT",
-    "MatchingProfile",
     "NoRealRootError",
     "Orientation",
     "ReductionInvariantError",

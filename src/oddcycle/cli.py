@@ -42,7 +42,7 @@ from .graphs import (
 from .kelmans import dominance, reduce_to_F
 from .matching import matching_polynomial, matching_profile
 from .roots import NoRealRootError, max_matching_root, max_real_root
-from .skew import Orientation, _alternating_form, _identity_target, all_orientations, skew_char_poly
+from .skew import Orientation, _alternating_form, all_orientations, skew_char_poly
 
 _SCHEMA = 1
 
@@ -120,20 +120,20 @@ def _cmd_poly(args) -> int:
     results = []
     lines = []
     for g in _load_graphs(args.graph):
-        profile = matching_profile(g)
+        profile = list(matching_profile(g))
         poly = matching_polynomial(g)
         results.append(
             {
                 "graph6": write_graph6(g),
                 "n": g.n,
                 "m": g.m,
-                "profile": list(profile.counts),
+                "profile": profile,
                 "coefficients": list(poly.coeffs),
                 "polynomial": poly.pretty(),
             }
         )
         lines.append(f"{write_graph6(g)}  n={g.n} m={g.m}")
-        lines.append(f"  profile: {list(profile.counts)}")
+        lines.append(f"  profile: {profile}")
         lines.append(f"  polynomial: {poly.pretty()}")
     _emit({"schema": _SCHEMA, "command": "poly", "results": results}, lines, args.format, args.out)
     return 0
@@ -170,7 +170,7 @@ def _cmd_skew(args) -> int:
                 raise UsageError(f"orientation mask must be in 0..{(1 << g.m) - 1}")
             orientations = [Orientation(g, args.mask)]
         entries = []
-        target = _identity_target(g)
+        target = _alternating_form(matching_polynomial(g), g.n)
         radius_by_phi: dict[tuple[int, ...], str] = {}
         for o in orientations:
             phi = skew_char_poly(o)
@@ -210,9 +210,8 @@ def _cmd_reduce(args) -> int:
         results.append(trace.to_json_dict())
         lines.append(f"{write_graph6(g)} -> {write_graph6(trace.final)} in {trace.step_count} step(s)")
         for step, after in trace.steps:
-            phase = step.phase.value if step.phase else "?"
             moved = ", ".join(f"({v},{w})->({step.beneficiary},{w})" for v, w in step.moved_edges)
-            lines.append(f"  [{phase}] u={step.beneficiary} v={step.co_beneficiary}: "
+            lines.append(f"  [{step.phase.value}] u={step.beneficiary} v={step.co_beneficiary}: "
                          f"{moved}  => {write_graph6(after)}")
     _emit({"schema": _SCHEMA, "command": "reduce", "results": results}, lines, args.format, args.out)
     return 0
@@ -226,7 +225,7 @@ def _cmd_dominance(args) -> int:
     max_root = None
     if diff.degree >= 1:
         try:
-            max_root = max_real_root(diff.squarefree_part()).decimal_str(args.digits)
+            max_root = max_real_root(diff).decimal_str(args.digits)
         except NoRealRootError:
             max_root = None
     payload = {

@@ -51,12 +51,12 @@ from .kelmans import (
     kelmans_transform,
     reduce_to_F,
 )
-from .matching import matching_profile, polynomial_from_profile
+from .matching import matching_polynomial, matching_profile, polynomial_from_profile
 from .polynomials import IntPolynomial
 from .roots import EQ, GT, AlgebraicRoot, compare_roots, max_matching_root, max_real_root
 from .skew import (
     Orientation,
-    _identity_target,
+    _alternating_form,
     skew_char_poly,
     skew_spectral_radius,
     switching_representatives,
@@ -346,7 +346,7 @@ def _order_census(n: int) -> Mapping[int, _SizeCensus]:
         if not g.m:
             continue
         g6 = write_graph6(g)
-        entry = census[g.m].setdefault(matching_profile(g).counts, [0, g6])
+        entry = census[g.m].setdefault(matching_profile(g), [0, g6])
         entry[0] += copies
         entry[1] = min(entry[1], g6)
     out = {}
@@ -410,7 +410,7 @@ def verify_classification(n: int) -> VerificationReport:
         groups, root, champs = size.groups, size.root, size.champions
         checked += sum(entry[0] for entry in groups.values())
         claimed, value_poly = _claimed_maximizers(n, m)
-        claimed_profiles = {matching_profile(g).counts for g, _ in claimed}
+        claimed_profiles = {matching_profile(g) for g, _ in claimed}
         witness = min(groups[p][1] for p in champs)
         if set(champs) != claimed_profiles:
             bad.append(f"n={n} m={m}: unexpected maximizer profile, witness {witness}")
@@ -442,7 +442,7 @@ def verify_conjecture(n: int) -> VerificationReport:
         (size.root, [(m, p) for p in size.champions]) for m, size in census.items()
     )
     [(h, h_copies)], _ = _claimed_maximizers(n, edge_cap(n))
-    h_prof = matching_profile(h).counts
+    h_prof = matching_profile(h)
     if best_root.compare_to_rational(0) != GT:
         bad.append(f"n={n}: maximum root not positive, edgeless graph ties")
     if [(edge_cap(n), h_prof)] != sorted(winners):
@@ -555,7 +555,7 @@ def verify_dominance(n: int) -> VerificationReport:
     checked = exchanged = 0
     for g, copies in _classes(n, False):
         for u, v in permutations(range(n), 2):
-            shifted, _ = kelmans_transform(g, u, v)
+            shifted = kelmans_transform(g, u, v)
             checked += copies
             if shifted.adj == g.adj:
                 continue
@@ -583,13 +583,13 @@ def verify_dominance(n: int) -> VerificationReport:
 
 def verify_identity(n: int) -> VerificationReport:
     """Coefficient identity between the skew characteristic polynomial and
-    the unsigned matching-count polynomial: holds for every orientation of
-    every odd-cycle graph of order n, and fails for at least one orientation
-    of every other graph of order n.  The odd-cycle graphs run like
-    verify_radius, one switching representative per class of one graph per
-    isomorphism class.  Each labeled graph with an even cycle is walked mask
-    by mask in ascending order up to its first violation, which is all
-    that direction needs."""
+    the alternating form of the matching polynomial, sum_k m_k x^(n-2k):
+    holds for every orientation of every odd-cycle graph of order n, and
+    fails for at least one orientation of every other graph of order n.
+    The odd-cycle graphs run like verify_radius, one switching
+    representative per class of one graph per isomorphism class.  Each
+    labeled graph with an even cycle is walked mask by mask in ascending
+    order up to its first violation, which is all that direction needs."""
     t0 = time.perf_counter()
     _check_order("identity", n)
     bad: list[str] = []
@@ -597,7 +597,7 @@ def verify_identity(n: int) -> VerificationReport:
     for g, copies in _odd_cycle_classes(n):
         graphs += copies
         orientations += copies << g.m
-        target = _identity_target(g)
+        target = _alternating_form(matching_polynomial(g), g.n)
         for rep in switching_representatives(g):
             evaluated += 1
             if skew_char_poly(Orientation(g, rep)) != target:
@@ -609,7 +609,8 @@ def verify_identity(n: int) -> VerificationReport:
         if is_odd_cycle_graph(g):
             continue
         graphs += 1
-        target = _identity_target(g)
+        # built without the memo: these labeled graphs would only churn it
+        target = _alternating_form(polynomial_from_profile(matching_profile(g), n), n)
         for mask in range(1 << g.m):
             orientations += 1
             evaluated += 1

@@ -4,10 +4,12 @@ and an exact matching-polynomial dominance comparison.
 The transformation picks a beneficiary u and a co-beneficiary v and moves
 every edge vw with w outside N(u) ∪ {u} over to uw.  Repeated shifts drive a
 connected graph whose blocks are edges and odd cycles down to the canonical
-form F(n, m): a star on vertex 0 plus a matching among the leaves.  The
-reduction walks the blocks of each graph it sees once, with
-``graphs.long_odd_cycles``: that one walk shows the graph is connected and
-has only edges and odd cycles as blocks, and names the next long cycle.
+form F(n, m): a star on vertex 0 plus a matching among the leaves.
+``kelmans_transform`` returns only the shifted graph; ``reduce_to_F``
+records each of its shifts as a ``KelmansStep``.  The reduction walks the
+blocks of each graph it sees once, with ``graphs.long_odd_cycles``: that
+one walk shows the graph is connected and has only edges and odd cycles as
+blocks, and names the next long cycle.
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ class KelmansStep:
     beneficiary: int
     co_beneficiary: int
     moved_edges: tuple[tuple[int, int], ...]
-    phase: KelmansPhase | None = None
+    phase: KelmansPhase
 
     def to_json_dict(self) -> dict:
         return {
-            "phase": self.phase.value if self.phase is not None else None,
+            "phase": self.phase.value,
             "beneficiary": self.beneficiary,
             "co_beneficiary": self.co_beneficiary,
             "moved_edges": [[v, w] for v, w in self.moved_edges],
@@ -78,16 +80,14 @@ class ReductionTrace:
     def phase_counts(self) -> dict[KelmansPhase, int]:
         out = {KelmansPhase.LONG_CYCLE: 0, KelmansPhase.DEGREE_LIFT: 0}
         for step, _ in self.steps:
-            if step.phase is not None:
-                out[step.phase] += 1
+            out[step.phase] += 1
         return out
 
     def validate(self) -> None:
         """Replay every step and check it reproduces the recorded graph."""
         cur = self.start
         for step, after in self.steps:
-            redone, _ = kelmans_transform(cur, step.beneficiary, step.co_beneficiary)
-            if redone != after:
+            if kelmans_transform(cur, step.beneficiary, step.co_beneficiary) != after:
                 raise ReductionInvariantError("recorded step does not reproduce its graph")
             if after.n != self.start.n or after.m != self.start.m:
                 raise ReductionInvariantError("step changed the vertex or edge count")
@@ -106,13 +106,12 @@ class ReductionTrace:
         }
 
 
-def kelmans_transform(
-    g: Graph, u: int, v: int, phase: KelmansPhase | None = None
-) -> tuple[Graph, KelmansStep]:
+def kelmans_transform(g: Graph, u: int, v: int) -> Graph:
     """Shift the neighbours of v that u does not already have over to u.
 
     Edges vw with w in N(v) \\ (N(u) ∪ {u}) become uw; a uv edge, if present,
-    stays put.  Vertex and edge counts are preserved.
+    stays put.  Vertex and edge counts are preserved.  Returns the shifted
+    graph.
     """
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("vertex out of range")
@@ -124,14 +123,14 @@ def kelmans_transform(
     rows[u] |= moved_mask
     for w in iter_bits(moved_mask):
         rows[w] = (rows[w] & ~(1 << v)) | (1 << u)
-    out = Graph(g.n, tuple(rows))
-    step = KelmansStep(
-        beneficiary=u,
-        co_beneficiary=v,
-        moved_edges=tuple((v, w) for w in iter_bits(moved_mask)),
-        phase=phase,
-    )
-    return out, step
+    return Graph(g.n, tuple(rows))
+
+
+def _step(cur: Graph, nxt: Graph, u: int, v: int, phase: KelmansPhase) -> KelmansStep:
+    """The record of the shift cur -> nxt: the moved edges are the edges
+    that v lost."""
+    moved = tuple((v, w) for w in iter_bits(cur.adj[v] & ~nxt.adj[v]))
+    return KelmansStep(u, v, moved, phase)
 
 
 def _intermediate_cycles(g: Graph, context: str) -> tuple[tuple[int, ...], ...]:
@@ -191,7 +190,7 @@ def reduce_to_F(g: Graph) -> ReductionTrace:
     while cycles:
         cycle = cycles[0]
         u, v = cycle[0], cycle[2]
-        nxt, step = kelmans_transform(cur, u, v, phase=KelmansPhase.LONG_CYCLE)
+        nxt = kelmans_transform(cur, u, v)
         long_steps += 1
         after = _intermediate_cycles(nxt, "long-cycle phase")
         if nxt.m != m:
@@ -200,7 +199,7 @@ def reduce_to_F(g: Graph) -> ReductionTrace:
             raise ReductionInvariantError("long-cycle phase: cycle edges dropped by less than two")
         if len(after) not in (len(cycles), len(cycles) - 1):
             raise ReductionInvariantError("long-cycle phase: cycle count changed by more than one")
-        steps.append((step, nxt))
+        steps.append((_step(cur, nxt, u, v, KelmansPhase.LONG_CYCLE), nxt))
         cur, cycles = nxt, after
     if long_steps and 2 * long_steps >= m:
         raise ReductionInvariantError("long-cycle phase exceeded its m/2 step bound")
@@ -219,7 +218,7 @@ def reduce_to_F(g: Graph) -> ReductionTrace:
         v = (two_away & -two_away).bit_length() - 1
         common = cur.adj[u] & cur.adj[v]
         w = (common & -common).bit_length() - 1
-        nxt, step = kelmans_transform(cur, u, w, phase=KelmansPhase.DEGREE_LIFT)
+        nxt = kelmans_transform(cur, u, w)
         lift_steps += 1
         if lift_steps > n - 1:
             raise ReductionInvariantError("degree-lift phase exceeded its n - 1 step bound")
@@ -228,7 +227,7 @@ def reduce_to_F(g: Graph) -> ReductionTrace:
         _intermediate_cycles(nxt, "degree-lift phase")
         if nxt.m != m:
             raise ReductionInvariantError("degree-lift phase: edge count changed")
-        steps.append((step, nxt))
+        steps.append((_step(cur, nxt, u, w, KelmansPhase.DEGREE_LIFT), nxt))
         cur = nxt
 
     if not _is_star_plus_matching(cur):

@@ -1,11 +1,13 @@
 """Exact matching profiles and matching polynomials.
 
-The profile (m_0, m_1, ..., m_{n//2}) counts k-edge matchings.  The engine
-applies the edge-deletion recurrence at a maximum-degree pivot vertex: the
-deletions of all edges at the pivot telescope into subproblems on induced
-subgraphs only (G minus the pivot, and G minus the pivot and one neighbor),
-so memoization works on plain vertex bitmasks.  Disconnected masks factor
-through the component product rule.
+``matching_profile`` returns the plain tuple (m_0, m_1, ..., m_{n//2}) of
+k-edge matching counts, and the matching polynomial is
+m(G, x) = sum_k (-1)^k m_k x^(n-2k).  The engine applies the edge-deletion
+recurrence at a maximum-degree pivot vertex: the deletions of all edges at
+the pivot telescope into subproblems on induced subgraphs only (G minus the
+pivot, and G minus the pivot and one neighbor), so memoization works on
+plain vertex bitmasks.  Disconnected masks factor through the component
+product rule.
 
 A profile is carried internally as one big integer with fixed-width fields,
 one per matching size; the field width is chosen from the m_k(K_n) upper
@@ -18,19 +20,11 @@ multiplication, which keeps the exhaustive sweeps fast while staying exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import comb
 
 from .graphs import Graph, iter_bits
 from .polynomials import IntPolynomial
-
-
-@dataclass(frozen=True)
-class MatchingProfile:
-    """Matching counts m_0..m_{n//2} of a graph of order n."""
-
-    counts: tuple[int, ...]
 
 
 @cache
@@ -44,8 +38,8 @@ def _field_width(n: int) -> int:
     return bound.bit_length() + 1
 
 
-def matching_profile(g: Graph) -> MatchingProfile:
-    """Exact matching counts via the memoized deletion recurrence."""
+def matching_profile(g: Graph) -> tuple[int, ...]:
+    """Exact matching counts m_0..m_{n//2} via the memoized deletion recurrence."""
     n = g.n
     adj = g.adj
     width = _field_width(n)
@@ -97,23 +91,22 @@ def matching_profile(g: Graph) -> MatchingProfile:
 
     value = packed((1 << n) - 1)
     fmask = (1 << width) - 1
-    counts = tuple((value >> (k * width)) & fmask for k in range(n // 2 + 1))
-    return MatchingProfile(counts)
+    return tuple((value >> (k * width)) & fmask for k in range(n // 2 + 1))
 
 
-def polynomial_from_profile(counts, n: int, signed: bool = True) -> IntPolynomial:
-    """Build sum_k (+/-1)^k m_k x^(n-2k) from matching counts."""
+def polynomial_from_profile(counts, n: int) -> IntPolynomial:
+    """Build sum_k (-1)^k m_k x^(n-2k) from matching counts."""
     coeffs = [0] * (n + 1)
     for k, mk in enumerate(counts):
         if n - 2 * k < 0:
             if mk:
                 raise ValueError(f"count m_{k} nonzero but 2k > n")
             continue
-        coeffs[n - 2 * k] = -mk if (signed and k % 2) else mk
+        coeffs[n - 2 * k] = -mk if k % 2 else mk
     return IntPolynomial.from_coeffs(coeffs)
 
 
 @lru_cache(maxsize=4096)
 def matching_polynomial(g: Graph) -> IntPolynomial:
-    """Signed matching polynomial sum_k (-1)^k m_k x^(n-2k), monic, degree n."""
-    return polynomial_from_profile(matching_profile(g).counts, g.n, signed=True)
+    """The matching polynomial sum_k (-1)^k m_k x^(n-2k), monic, degree n."""
+    return polynomial_from_profile(matching_profile(g), g.n)

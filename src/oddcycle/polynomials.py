@@ -314,7 +314,7 @@ class IntPolynomial:
 
     # -------------------------------------------------------------- formatting
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         """Human form, highest power first, e.g. 'x^5 - 6x^3 + 5x'."""
         if not self.coeffs:
             return "0"
@@ -328,7 +328,7 @@ class IntPolynomial:
             if k == 0:
                 body = str(mag)
             else:
-                xpow = var if k == 1 else f"{var}^{k}"
+                xpow = "x" if k == 1 else f"x^{k}"
                 body = xpow if mag == 1 else f"{mag}{xpow}"
             parts.append((sign, body))
         first_sign, first_body = parts[0]

@@ -16,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .graphs import Graph, GraphTooLargeError, iter_bits
-from .matching import matching_profile, polynomial_from_profile
+from .graphs import Graph, GraphTooLargeError, _component_mask, iter_bits
 from .polynomials import IntPolynomial
 from .roots import AlgebraicRoot, compare_roots, max_real_root
 
 CHAR_POLY_MAX_N = 24
 ORIENTATION_SWEEP_MAX_M = 24
-RADIUS_SWEEP_MAX_M = 20
+RADIUS_SWEEP_MAX_M = 20  # caps m - n + c, the log2 of the switching classes
 
 
 @dataclass(frozen=True)
@@ -161,24 +160,16 @@ def skew_char_poly(o: Orientation) -> IntPolynomial:
     return IntPolynomial.from_coeffs(coeffs)
 
 
-def _identity_target(g: Graph) -> IntPolynomial:
-    """The unsigned matching-count polynomial sum_k m_k(G) x^(n-2k).
-
-    This is the coefficientwise real form of (-i)^n m(G, ix): the x^(n-2k)
-    term of m(G, ix) carries the factor (-1)^k i^(n-2k), and (-i)^n * (-1)^k *
-    i^(n-2k) = (i^2)^n * (i^2)^(-k) * (-1)^k = (-1)^(2n) = 1, so every
-    coefficient lands on +m_k.
-    """
-    return polynomial_from_profile(matching_profile(g).counts, g.n, signed=False)
-
-
 def _alternating_form(phi: IntPolynomial, n: int) -> IntPolynomial:
     """Rewrite sum_k a_2k x^(n-2k) as sum_k (-1)^k a_2k x^(n-2k).
 
-    The roots of the result are the signed eigenvalue magnitudes: phi's roots
-    come in purely imaginary pairs x = +/- i*lambda, and substituting x = i*y
-    turns phi into this alternating polynomial (up to a unit), whose largest
-    real root is the spectral radius.
+    This is the substitution x = i*y up to the unit (-i)^n: the x^(n-2k)
+    term picks up (-i)^n i^(n-2k) = (-1)^k.  It serves both skew claims.
+    phi's roots come in purely imaginary pairs x = +/- i*lambda, so the
+    roots of its alternating form are the signed eigenvalue magnitudes and
+    the largest is the spectral radius.  The alternating form of the
+    matching polynomial m(G) is sum_k m_k(G) x^(n-2k), which the identity
+    claim compares phi with.
     """
     coeffs = list(phi.coeffs) + [0] * (n + 1 - len(phi.coeffs))
     out = [0] * (n + 1)
@@ -204,8 +195,13 @@ def max_skew_spectral_radius(g: Graph) -> AlgebraicRoot:
     One orientation per switching class is evaluated; the others share its
     characteristic polynomial.  Classes whose polynomials are equal share
     one memoized root, and ``compare_roots`` settles such a tie at once.
+    A graph with c components has 2^(m - n + c) classes.
     """
-    if g.m > RADIUS_SWEEP_MAX_M:
-        raise GraphTooLargeError(f"radius sweep limited to m <= {RADIUS_SWEEP_MAX_M}")
+    components, left = 0, (1 << g.n) - 1
+    while left:
+        left &= ~_component_mask(g.adj, (left & -left).bit_length() - 1, left)
+        components += 1
+    if g.m - g.n + components > RADIUS_SWEEP_MAX_M:
+        raise GraphTooLargeError(f"radius sweep limited to m - n + c <= {RADIUS_SWEEP_MAX_M}")
     reps = switching_representatives(g)
     return max((skew_spectral_radius(Orientation(g, mask)) for mask in reps), key=cmp_to_key(compare_roots))

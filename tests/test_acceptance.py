@@ -278,7 +278,7 @@ def test_criterion_8_oracle_equivalence():
                 rows[v] |= bu
             g = Graph(n, tuple(rows))
             want = tuple(int(c[mask]) for c in counts)
-            if matching_profile(g).counts != want:
+            if matching_profile(g) != want:
                 problems.append(f"profile mismatch at n={n} mask={mask}")
                 break
             profile_checks += 1

@@ -214,6 +214,22 @@ def test_dominance_output(capsys):
     assert blob["difference_max_root"] is None
 
 
+@pytest.mark.parametrize(
+    "g1, g2, difference, root",
+    [
+        ("F 6 6", "P 6", "x^4 + 3x^2 - 1", "0.550251"),
+        # x^5 - 4x^3 + 3x = x (x^2 - 1)(x^2 - 3): the largest root is sqrt(3)
+        ("C 7", "P 7", "x^5 - 4x^3 + 3x", "1.732051"),
+    ],
+)
+def test_dominance_prints_the_largest_root_of_the_difference(capsys, g1, g2, difference, root):
+    code, blob, _ = run_json(capsys, "dominance", g1, g2)
+    assert code == 0
+    assert blob["verdict"] == "strictly_dominates"
+    assert blob["difference"] == difference
+    assert blob["difference_max_root"] == root
+
+
 def test_dominance_rejects_mixed_orders(capsys):
     code, out, err = run(capsys, "dominance", "C 5", "C 7")
     assert code == 2 and "error:" in err

@@ -59,14 +59,17 @@ CACTUS = Graph.from_edges(
 
 def test_transform_on_five_cycle():
     c5 = cycle_graph(5)
-    out, step = kelmans_transform(c5, 0, 2)
+    out = kelmans_transform(c5, 0, 2)
     assert set(out.edge_list()) == {(0, 1), (0, 3), (0, 4), (1, 2), (3, 4)}
+    # the reduction of C5 starts with this shift and records it
+    step, after = reduce_to_F(c5).steps[0]
+    assert after == out
     assert step.beneficiary == 0
     assert step.co_beneficiary == 2
     assert step.moved_edges == ((2, 3),)
-    assert step.phase is None
+    assert step.phase is KelmansPhase.LONG_CYCLE
     assert step.to_json_dict() == {
-        "phase": None,
+        "phase": "long_cycle",
         "beneficiary": 0,
         "co_beneficiary": 2,
         "moved_edges": [[2, 3]],
@@ -84,9 +87,7 @@ def test_transform_validation():
 
 
 def test_transform_can_be_a_no_op():
-    out, step = kelmans_transform(star_graph(3), 0, 1)
-    assert out == star_graph(3)
-    assert step.moved_edges == ()
+    assert kelmans_transform(star_graph(3), 0, 1) == star_graph(3)
 
 
 @given(graphs(min_n=2), st.integers(0, 10**6), st.integers(0, 10**6))
@@ -95,21 +96,26 @@ def test_transform_bookkeeping(g, a, b):
     v = b % g.n
     if u == v:
         v = (v + 1) % g.n
-    out, step = kelmans_transform(g, u, v, phase=KelmansPhase.DEGREE_LIFT)
+    out = kelmans_transform(g, u, v)
     assert out.n == g.n and out.m == g.m
-    assert step.phase is KelmansPhase.DEGREE_LIFT
-    # replay the recorded edge moves by hand
-    replay = set(g.edge_list())
-    for vv, w in step.moved_edges:
-        assert vv == v
+    # replay the shift from its definition: vw becomes uw for every w in
+    # N(v) \ (N(u) ∪ {u})
+    edges = set(g.edge_list())
+
+    def nbrs(x):
+        return {b for a, b in edges if a == x} | {a for a, b in edges if b == x}
+
+    moved = nbrs(v) - nbrs(u) - {u}
+    replay = set(edges)
+    for w in moved:
         replay.remove((min(v, w), max(v, w)))
         replay.add((min(u, w), max(u, w)))
     assert Graph.from_edges(g.n, replay) == out
     for x in range(g.n):
         if x == u:
-            assert out.degree(x) == g.degree(x) + len(step.moved_edges)
+            assert out.degree(x) == g.degree(x) + len(moved)
         elif x == v:
-            assert out.degree(x) == g.degree(x) - len(step.moved_edges)
+            assert out.degree(x) == g.degree(x) - len(moved)
         else:
             assert out.degree(x) == g.degree(x)
 
@@ -207,12 +213,12 @@ def test_reduce_guards_each_step(start, context, broken, message, monkeypatch):
 
     # only the first shift is broken, so that a missing guard lets the
     # reduction run on to some other end instead of looping
-    def broken_shift(g, u, v, phase=None):
-        out, step = shift(g, u, v, phase)
-        steps.append(step)
+    def broken_shift(g, u, v):
+        out = shift(g, u, v)
+        steps.append((u, v))
         if len(steps) == 1:
             out = g if broken is None else broken
-        return out, step
+        return out
 
     monkeypatch.setattr(kelmans, "kelmans_transform", broken_shift)
     with pytest.raises(ReductionInvariantError, match=f"^{context}: {message}$"):
@@ -240,6 +246,23 @@ def test_reduce_walks_the_blocks_of_each_graph_once(g, monkeypatch):
     trace = reduce_to_F(g)
     assert trace.phase_counts()[KelmansPhase.LONG_CYCLE] > 0
     assert walks == [g.adj] + [after.adj for _, after in trace.steps]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_reduction_steps_record_their_phase_and_the_edges_v_lost(n):
+    for g in connected_odd_cycle_reps(n):
+        cur, phases = g, []
+        for step, after in reduce_to_F(g).steps:
+            u, v = step.beneficiary, step.co_beneficiary
+            lost = set(cur.edge_list()) - set(after.edge_list())
+            gained = set(after.edge_list()) - set(cur.edge_list())
+            assert lost == {(min(v, w), max(v, w)) for _, w in step.moved_edges}
+            assert gained == {(min(u, w), max(u, w)) for _, w in step.moved_edges}
+            assert step.moved_edges and all(x == v for x, _ in step.moved_edges)
+            phases.append(step.phase)
+            cur = after
+        # every step has a phase, and the long-cycle steps come first
+        assert phases == sorted(phases, key=[KelmansPhase.LONG_CYCLE, KelmansPhase.DEGREE_LIFT].index)
 
 
 def test_validate_detects_tampering():
@@ -404,8 +427,8 @@ def test_dominance_is_transitive_along_shift_chains(g, a, b):
     u2, v2 = b % g.n, (b // g.n) % g.n
     if u1 == v1 or u2 == v2:
         return
-    g1, _ = kelmans_transform(g, u1, v1)
-    g2, _ = kelmans_transform(g1, u2, v2)
+    g1 = kelmans_transform(g, u1, v1)
+    g2 = kelmans_transform(g1, u2, v2)
     first = dominance(g1, g)
     second = dominance(g2, g1)
     assert first is not INCOMPARABLE

@@ -217,6 +217,5 @@ def test_pretty_forms():
     assert IntPolynomial.from_coeffs([0, -1]).pretty() == "-x"
     assert IntPolynomial.from_coeffs([1, 1]).pretty() == "x + 1"
     assert IntPolynomial.zero().pretty() == "0"
-    assert IntPolynomial.from_coeffs([0, 3, 0, 1]).pretty("y") == "y^3 + 3y"
     assert str(IntPolynomial.x()) == "x"
 

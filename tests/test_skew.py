@@ -7,24 +7,25 @@ from oddcycle import (
     GT,
     Graph,
     GraphTooLargeError,
+    IntPolynomial,
     Orientation,
     all_orientations,
     compare_roots,
     complete_graph,
     cycle_graph,
     is_odd_cycle_graph,
-    matching_profile,
+    matching_polynomial,
     max_matching_root,
     max_skew_spectral_radius,
     path_graph,
-    polynomial_from_profile,
     skew_char_poly,
     skew_spectral_radius,
+    star_graph,
     switching_representatives,
 )
-from oddcycle.skew import _identity_target
+from oddcycle.skew import _alternating_form
 
-from oracles import charpoly_reference
+from oracles import charpoly_reference, matchings_by_size_reference
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
@@ -159,20 +160,38 @@ def test_switching_representatives_exhaustive():
                     assert a ^ b not in cuts
 
 
+def matching_count_polynomial(g: Graph) -> IntPolynomial:
+    """sum_k m_k x^(n-2k), with the m_k from the subset oracle."""
+    coeffs = [0] * (g.n + 1)
+    for k, mk in enumerate(matchings_by_size_reference(g.n, g.edge_list())):
+        coeffs[g.n - 2 * k] = mk
+    return IntPolynomial.from_coeffs(coeffs)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_identity_target_matches_the_subset_oracle(n):
+    # the identity sweep's target is the alternating form of m(G); hold it
+    # to matchings counted without the deletion recurrence
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for emask in range(1 << len(pairs)):
+        g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (emask >> i) & 1])
+        assert _alternating_form(matching_polynomial(g), n) == matching_count_polynomial(g)
+
+
 def test_identity_on_triangle():
     k3 = complete_graph(3)
-    target = polynomial_from_profile(matching_profile(k3).counts, 3, signed=False)
-    assert target.coeffs == (0, 3, 0, 1)
+    assert _alternating_form(matching_polynomial(k3), 3).coeffs == (0, 3, 0, 1)
     for o in all_orientations(k3):
         assert skew_char_poly(o).coeffs == (0, 3, 0, 1)
-        assert skew_char_poly(o) == _identity_target(o.graph)
+        assert skew_char_poly(o) == matching_count_polynomial(o.graph)
 
 
 def test_identity_on_five_cycle():
     c5 = cycle_graph(5)
+    assert _alternating_form(matching_polynomial(c5), 5).coeffs == (0, 5, 0, 5, 0, 1)
     for o in all_orientations(c5):
         assert skew_char_poly(o).coeffs == (0, 5, 0, 5, 0, 1)
-        assert skew_char_poly(o) == _identity_target(o.graph)
+        assert skew_char_poly(o) == matching_count_polynomial(o.graph)
 
 
 def test_identity_fails_on_even_cycle():
@@ -182,14 +201,14 @@ def test_identity_fails_on_even_cycle():
         phi = skew_char_poly(o)
         polys[phi.coeffs] = polys.get(phi.coeffs, 0) + 1
         # x^4 + 4x^2 + 2 is never attained, so every orientation violates
-        assert skew_char_poly(o) != _identity_target(o.graph)
+        assert skew_char_poly(o) != matching_count_polynomial(o.graph)
     assert polys == {(4, 0, 4, 0, 1): 8, (0, 0, 4, 0, 1): 8}
 
 
 def test_identity_on_bowtie_and_path():
     for g in (BOWTIE, path_graph(4), path_graph(1)):
         for o in all_orientations(g):
-            assert skew_char_poly(o) == _identity_target(o.graph)
+            assert skew_char_poly(o) == matching_count_polynomial(o.graph)
 
 
 def test_spectral_radius_examples():
@@ -224,5 +243,9 @@ def test_size_guards():
         list(all_orientations(big))
     with pytest.raises(GraphTooLargeError):
         skew_char_poly(Orientation(Graph.empty(25), 0))
+    # the sweep is capped by its 2^(m - n + c) switching classes, not by m:
+    # K8 has 28 - 8 + 1 = 21 free bits, K_{1,21} has 21 edges and none
     with pytest.raises(GraphTooLargeError):
-        max_skew_spectral_radius(complete_graph(7))
+        max_skew_spectral_radius(complete_graph(8))
+    star = star_graph(21)
+    assert compare_roots(max_skew_spectral_radius(star), max_matching_root(star)) == EQ
