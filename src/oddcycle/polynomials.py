@@ -7,11 +7,11 @@ Everything downstream (matching polynomials, Sturm chains, characteristic
 polynomials) is built on this type.
 
 Matching polynomials and the alternating forms of skew characteristic
-polynomials have a single parity: p(x) = x^e Q(x^2) with e in {0, 1}.  Each
+polynomials have a single parity: p(x) = x^k Q1(x^2) with Q1(0) != 0.  Each
 polynomial finds that split once, on first use, and keeps it
-(``parity_split``); a sign at a/d is then the sign of Q at (a^2, d^2), times
-sign(a)^e, in half as many Horner steps.  ``roots.py`` asks its root
-questions of Q for the same reason.
+(``parity_split``); a sign at a/d is then sign(a)^k times the sign of Q1
+at (a^2, d^2), in half as many Horner steps.  ``roots.py`` reads the same
+split for its root counts and squarefree parts.
 """
 
 from __future__ import annotations
@@ -139,29 +139,29 @@ class IntPolynomial:
 
     @cached_property
     def parity_split(self) -> tuple[int, IntPolynomial] | None:
-        """(e, Q) with self = x^e Q(x^2) and e in {0, 1}, or None when both
+        """(k, Q1) with self = x^k Q1(x^2) and Q1(0) != 0, or None when both
         odd and even powers appear.  The zero polynomial splits as (0, 0)."""
         coeffs = self.coeffs
-        e = (len(coeffs) - 1) % 2 if coeffs else 0  # the parity of the degree
-        if any(coeffs[1 - e :: 2]):
+        k = next((i for i, c in enumerate(coeffs) if c), 0)
+        if any(coeffs[k + 1 :: 2]):
             return None
-        return e, IntPolynomial(coeffs[e::2])
+        return k, IntPolynomial(coeffs[k::2])
 
     def sign_at_ratio(self, num: int, den: int) -> int:
         """Sign of the polynomial at num/den for den > 0, by Horner's rule on
         the homogenised form sum c_k num^k den^(n-k).  The point (1, 0) is
         +infinity: the form reduces to the leading coefficient there.  For
-        self = x^e Q(x^2) the form is num^e times Q's form at (num^2, den^2)."""
+        self = x^k Q1(x^2) the form is num^k times Q1's form at (num^2, den^2)."""
         coeffs = self.coeffs
         flip = False
         split = self.parity_split
         if split is not None:
-            e, q = split
-            if e:
+            k, q1 = split
+            if k:
                 if not num:
                     return 0
-                flip = num < 0
-            coeffs = q.coeffs
+                flip = k % 2 == 1 and num < 0
+            coeffs = q1.coeffs
             num, den = num * num, den * den
         acc = 0
         pw = 1

@@ -7,24 +7,25 @@ refines: an interval holding exactly one simple root and no root at either
 end keeps the half across which the polynomial changes sign.  Both loops
 carry the interval as integer numerators over one shared denominator and
 evaluate signs by integer Horner steps; the Fraction endpoints are built
-once, when a loop ends.  Comparisons certify with Sturm counts and settle
-ties through polynomial GCDs, so no verdict ever rests on floating point.
-The chains use pseudo-remainders with sign tracking to stay in integer
-arithmetic.
+once, when a loop ends.  Only ``AlgebraicRoot._apart_from`` decides, by a
+polynomial GCD, whether a root is a root of another polynomial; ties between
+two roots are settled through it, and a rational is placed by one sign test.
+No verdict ever rests on floating point.  The chains use pseudo-remainders
+with sign tracking to stay in integer arithmetic.
 
 Matching polynomials and alternating skew forms have a single parity, and
-every root question is asked at half their degree.  Write p = x^e Q(x^2)
-and Q = y^j Q1(y) with Q1(0) != 0: the distinct real roots of p are 0 when
-e + j > 0 and +-sqrt(s) for each positive root s of Q1.  Root counts then
-come from the Sturm chain of Q1 evaluated at x^2, the squarefree part of p
-from that of Q1, and signs from Q at x^2 (``IntPolynomial.sign_at_ratio``).
-Every interval and every answer is the one the full-degree chain gives;
+every root question is asked at half their degree.  Write p = x^k Q1(x^2)
+with Q1(0) != 0 (``IntPolynomial.parity_split``): the distinct real roots
+of p are 0 when k > 0 and +-sqrt(s) for each positive root s of Q1.  Root
+counts then come from the Sturm chain of Q1 evaluated at x^2, the
+squarefree part of p from that of Q1, and signs from Q1 at x^2.  Every
+interval and every answer is the one the full-degree chain gives;
 polynomials that mix parities keep the chain of p itself.
 
 This module alone decides how narrow an interval is.  ``max_real_root``
 hands out its root refined to width 2^-16, and every question asked of a
-root (its sign under a polynomial, its order against a rational or another
-root, the roots of a polynomial above it, its decimal digits) refines
+root (its sign under a polynomial, its order against another root, the
+roots of a polynomial above it, its decimal digits) refines
 further on its own, as far as that question needs.  ``max_real_root`` keeps
 the module's one bounded memo of roots, keyed by the polynomial: equal
 polynomials, from relabelled graphs or from orientations whose alternating
@@ -88,22 +89,11 @@ def _variations(chain, num: int, den: int) -> int:
     return count
 
 
-def _square_split(p: IntPolynomial) -> tuple[bool, IntPolynomial] | None:
-    """(z, Q1) for p = x^e Q(x^2) and Q = y^j Q1(y) with Q1(0) != 0, where z
-    says whether 0 is a root (e + j > 0); None when p mixes parities."""
-    split = p.parity_split
-    if split is None:
-        return None
-    e, q = split
-    j = next((i for i, c in enumerate(q.coeffs) if c), 0)
-    return e + j > 0, IntPolynomial(q.coeffs[j:])
-
-
 class _RootCounter:
     """R(x), the number of distinct real roots of p greater than x.
 
-    For p = x^e Q(x^2) the chain is that of Q1 (see ``_square_split``), with
-    V its sign variations at (num^2, den^2):
+    For p = x^k Q1(x^2) (``IntPolynomial.parity_split``) the chain is that
+    of Q1, with V its sign variations at (num^2, den^2) and z = [k > 0]:
 
     - R(x) = V(x^2) - V(inf) for x >= 0;
     - R(x) = R(0) + z + V(0) - V(x^2) - [Q1(x^2) = 0] for x < 0, since the
@@ -117,9 +107,10 @@ class _RootCounter:
     __slots__ = ("chain", "square", "z", "v_inf", "v_zero", "r_zero")
 
     def __init__(self, p: IntPolynomial):
-        split = _square_split(p)
+        split = p.parity_split
         self.square = split is not None
-        self.z, q1 = split if self.square else (False, p)
+        k, q1 = split if self.square else (0, p)
+        self.z = k > 0
         self.chain = _sturm_chain(q1.coeffs)
         self.v_inf = _variations(self.chain, 1, 0)
         if self.square:
@@ -147,14 +138,15 @@ def _count_roots(counter: _RootCounter, lo: Fraction, hi: Fraction | None) -> in
 def _squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """``p.squarefree_part()``, coefficient for coefficient.
 
-    For p = x^e Q(x^2) it is x^z S(x^2) with S the squarefree part of Q1
-    (see ``_square_split``): S(x^2) is squarefree because S(0) != 0, and it
+    For p = x^k Q1(x^2) it is x^z S(x^2) with z = [k > 0] and S the
+    squarefree part of Q1: S(x^2) is squarefree because S(0) != 0, and it
     keeps S's coefficients, so it is primitive with a positive leading one.
     """
-    split = _square_split(p)
+    split = p.parity_split
     if split is None:
         return p.squarefree_part()
-    z, q1 = split
+    k, q1 = split
+    z = k > 0
     s = q1.squarefree_part().coeffs
     coeffs = [0] * (2 * len(s) - 1 + z)
     coeffs[z::2] = s
@@ -226,9 +218,9 @@ class AlgebraicRoot:
     def halved(self) -> AlgebraicRoot:
         return self.refined(self.width / 2)
 
-    def _apart_from(self, q: IntPolynomial) -> tuple[bool, AlgebraicRoot]:
-        """Whether this number is a root of q, and an interval for it whose
-        closure holds no other root of q (q nonzero).
+    def _apart_from(self, q: IntPolynomial) -> tuple[bool, AlgebraicRoot, _RootCounter]:
+        """Whether this number is a root of q, an interval for it whose
+        closure holds no other root of q (q nonzero), and q's root counter.
 
         The GCD with the defining polynomial settles the first part exactly;
         the interval is then halved until q vanishes at neither end and its
@@ -244,19 +236,30 @@ class AlgebraicRoot:
             or _count_roots(counter, r.lo, r.hi) != on_root
         ):
             r = r.halved()
-        return on_root, r
+        return on_root, r, counter
 
     def sign_of(self, q: IntPolynomial) -> int:
         """Exact sign of q evaluated at this algebraic number."""
         if q.is_zero():
             return 0
-        on_root, r = self._apart_from(q)
+        on_root, r, _ = self._apart_from(q)
         return 0 if on_root else q.sign_at(r.lo)
 
     def compare_to_rational(self, value: Fraction | int) -> int:
-        """-1, 0 or +1 as the root is below, equal to, or above value."""
+        """LT, EQ or GT as the root is below, equal to, or above value.
+
+        Inside the interval ``poly`` has one simple root, so its sign at
+        value is 0 there and its sign at ``hi`` exactly above it.
+        """
         value = Fraction(value)
-        return self.sign_of(IntPolynomial.from_coeffs([-value.numerator, value.denominator]))
+        if value <= self.lo:
+            return GT
+        if value >= self.hi:
+            return LT
+        s = self.poly.sign_at(value)
+        if s == 0:
+            return EQ
+        return LT if s == self.poly.sign_at(self.hi) else GT
 
     def to_float(self) -> float:
         r = self.refined(Fraction(1, 2**60))
@@ -332,8 +335,8 @@ def count_roots_above(p: IntPolynomial, root: AlgebraicRoot) -> int:
     """
     if p.degree < 1:
         return 0
-    _, r = root._apart_from(p)
-    return _count_roots(_RootCounter(p), r.hi, None)
+    _, r, counter = root._apart_from(p)
+    return _count_roots(counter, r.hi, None)
 
 
 def count_roots_from(p: IntPolynomial, root: AlgebraicRoot) -> int:
@@ -341,35 +344,27 @@ def count_roots_from(p: IntPolynomial, root: AlgebraicRoot) -> int:
     ``count_roots_above`` plus ``root`` itself when p vanishes there."""
     if p.degree < 1:
         return 0
-    on_root, r = root._apart_from(p)
-    return on_root + _count_roots(_RootCounter(p), r.hi, None)
+    on_root, r, counter = root._apart_from(p)
+    return on_root + _count_roots(counter, r.hi, None)
 
 
 def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:
     """Exact order of two algebraic roots: LT (-1), EQ (0) or GT (+1).
 
-    While the intervals overlap, each round halves the wider one, or both
-    when their widths are equal.  Equal roots (the same polynomial and
-    interval, as the memo of ``max_real_root`` hands out) are EQ at once.
+    Equal roots (as the memo of ``max_real_root`` hands out) and disjoint
+    intervals decide at once.  Otherwise the closure of a's interval from
+    ``a._apart_from(b.poly)`` holds no root of b's polynomial but possibly
+    a, so b lies inside it exactly when b = a.
     """
     if a == b:
         return EQ
-    gcounter = None  # root counter of gcd(a.poly, b.poly), False when it is constant
-    while a.hi > b.lo and b.hi > a.lo:
-        if gcounter is None:
-            g = a.poly.gcd(b.poly)
-            gcounter = _RootCounter(g) if g.degree >= 1 else False
-        if gcounter:
-            in_a = _count_roots(gcounter, a.lo, a.hi)
-            in_b = _count_roots(gcounter, b.lo, b.hi)
-            if in_a >= 1 and in_b >= 1:
-                hull_lo = min(a.lo, b.lo)
-                hull_hi = max(a.hi, b.hi)
-                if _count_roots(gcounter, hull_lo, hull_hi) == 1:
-                    return EQ
-        wa, wb = a.width, b.width
-        if wa >= wb:
-            a = a.halved()
-        if wb >= wa:
-            b = b.halved()
-    return LT if a.hi <= b.lo else GT
+    if a.hi <= b.lo:
+        return LT
+    if b.hi <= a.lo:
+        return GT
+    _, r, _ = a._apart_from(b.poly)
+    if b.compare_to_rational(r.lo) == LT:
+        return GT
+    if b.compare_to_rational(r.hi) == GT:
+        return LT
+    return EQ

@@ -16,13 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .graphs import Graph, GraphTooLargeError, _component_mask, iter_bits
+from .graphs import Graph, GraphTooLargeError, iter_bits
 from .polynomials import IntPolynomial
 from .roots import AlgebraicRoot, compare_roots, max_real_root
 
 CHAR_POLY_MAX_N = 24
-ORIENTATION_SWEEP_MAX_M = 24
-RADIUS_SWEEP_MAX_M = 20  # caps m - n + c, the log2 of the switching classes
+# A call at either cap takes about 4 s on 2 vCPU: `skew "K1 14" --all`, and
+# 2^12 switching classes at n = 24.  No odd-cycle graph of order <= 24 has
+# more than 11 cycles, so the radius cap refuses none of them.
+ORIENTATION_SWEEP_MAX_M = 14
+RADIUS_SWEEP_MAX_M = 12  # caps m - n + c, the log2 of the switching classes
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,9 @@ def switching_representatives(g: Graph):
     column of S.  That is a similarity D S D, so det(xI - S) is the same on
     a whole class.  Every class has exactly one mask whose bits on the arcs
     of a fixed BFS spanning forest are all 0, so a graph with c components
-    has 2^(m - n + c) classes: every subset of the non-tree bits.
+    has 2^(m - n + c) classes: every subset of the non-tree bits.  A graph
+    with more than 2^RADIUS_SWEEP_MAX_M classes raises GraphTooLargeError
+    before the first mask.
     """
     incident = [0] * g.n  # the edge bits at each vertex
     for k, (u, v) in enumerate(g.edge_list()):
@@ -83,6 +88,8 @@ def switching_representatives(g: Graph):
                 seen |= 1 << v
                 free &= ~(incident[u] & incident[v])
                 queue.append(v)
+    if free.bit_count() > RADIUS_SWEEP_MAX_M:
+        raise GraphTooLargeError(f"switching sweep limited to m - n + c <= {RADIUS_SWEEP_MAX_M}")
     mask = 0
     while True:
         yield mask
@@ -195,13 +202,7 @@ def max_skew_spectral_radius(g: Graph) -> AlgebraicRoot:
     One orientation per switching class is evaluated; the others share its
     characteristic polynomial.  Classes whose polynomials are equal share
     one memoized root, and ``compare_roots`` settles such a tie at once.
-    A graph with c components has 2^(m - n + c) classes.
+    ``switching_representatives`` refuses a graph with too many classes.
     """
-    components, left = 0, (1 << g.n) - 1
-    while left:
-        left &= ~_component_mask(g.adj, (left & -left).bit_length() - 1, left)
-        components += 1
-    if g.m - g.n + components > RADIUS_SWEEP_MAX_M:
-        raise GraphTooLargeError(f"radius sweep limited to m - n + c <= {RADIUS_SWEEP_MAX_M}")
     reps = switching_representatives(g)
     return max((skew_spectral_radius(Orientation(g, mask)) for mask in reps), key=cmp_to_key(compare_roots))

@@ -71,11 +71,15 @@ def test_parity_split():
     # x^3 - x = x (y - 1) at y = x^2
     assert IntPolynomial.from_coeffs([0, -1, 0, 1]).parity_split == (1, IntPolynomial((-1, 1)))
     assert IntPolynomial.from_coeffs([2, 0, 3]).parity_split == (0, IntPolynomial((2, 3)))
-    assert IntPolynomial.from_coeffs([0, 0, 0, 0, 1]).parity_split == (0, IntPolynomial((0, 0, 1)))
+    # every power of x comes out: x^4 = x^4 * 1, and x^5 - x^3 = x^3 (y - 1)
+    assert IntPolynomial.from_coeffs([0, 0, 0, 0, 1]).parity_split == (4, IntPolynomial((1,)))
+    assert IntPolynomial.from_coeffs([0, 0, 0, -1, 0, 1]).parity_split == (3, IntPolynomial((-1, 1)))
+    assert IntPolynomial.from_coeffs([0, 0, 5, 0, 0, 0, 1]).parity_split == (2, IntPolynomial((5, 0, 1)))
     assert IntPolynomial.from_coeffs([7]).parity_split == (0, IntPolynomial((7,)))
     assert IntPolynomial.zero().parity_split == (0, IntPolynomial.zero())
     assert IntPolynomial.from_coeffs([1, 1]).parity_split is None
     assert IntPolynomial.from_coeffs([1, 0, 0, 1]).parity_split is None
+    assert IntPolynomial.from_coeffs([0, 0, 1, 1]).parity_split is None
 
 
 @given(st.data())

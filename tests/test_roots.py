@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -171,30 +172,69 @@ def test_compare_roots_takes_the_gcd_only_once_the_intervals_overlap(monkeypatch
     assert calls
 
 
-def test_compare_roots_halves_only_the_wider_interval(monkeypatch):
-    widths = []
-    halved = AlgebraicRoot.halved
+NON_SQUARES = [a for a in range(2, 61) if isqrt(a) ** 2 != a]
 
-    def counting(self):
-        widths.append(self.width)
-        return halved(self)
 
-    monkeypatch.setattr(AlgebraicRoot, "halved", counting)
-    narrow = max_real_root(X2_MINUS_2)
-    wide = AlgebraicRoot(X2_MINUS_3, Fraction(0), Fraction(2))
-    # (0, 2) becomes (1, 2), then (3/2, 2), which clears sqrt(2); the
-    # narrow interval around sqrt(2) is never halved
-    assert compare_roots(narrow, wide) == LT
-    assert widths == [2, 1]
-    widths.clear()
-    assert compare_roots(wide, narrow) == GT
-    assert widths == [2, 1]
-    # equal widths: both are halved
-    widths.clear()
-    sqrt2 = AlgebraicRoot(X2_MINUS_2, Fraction(1), Fraction(2))
-    sqrt3 = AlgebraicRoot(X2_MINUS_3, Fraction(1), Fraction(2))
-    assert compare_roots(sqrt2, sqrt3) == LT
-    assert widths == [1, 1]
+def signed_sqrt(s: int, a: int, poly: IntPolynomial) -> AlgebraicRoot:
+    """s * sqrt(a) as a root of poly, in the unit interval between the
+    integers next to it; roots with equal floors have equal intervals."""
+    f = isqrt(a)
+    lo, hi = (f, f + 1) if s > 0 else (-f - 1, -f)
+    return AlgebraicRoot(poly, Fraction(lo), Fraction(hi))
+
+
+def sqrt_order(s: int, a: int, v: Fraction) -> int:
+    """Order of s * sqrt(a) against the rational v, in integer arithmetic."""
+    if v == 0 or (v > 0) != (s > 0):
+        return s
+    d = a * v.denominator**2 - v.numerator**2
+    return s * ((d > 0) - (d < 0))
+
+
+def test_root_order_on_overlapping_intervals_matches_integer_arithmetic():
+    # every +-sqrt(a), a non-square in 2..60, twice: as a root of x^2 - a and
+    # of (x^2 - a)(x - c) with c an integer outside its interval
+    roots = []
+    for a in NON_SQUARES:
+        square = IntPolynomial.from_coeffs([-a, 0, 1])
+        for s in (1, -1):
+            c = s * (isqrt(a) + 2)
+            for poly in (square, square * IntPolynomial.from_coeffs([-c, 1])):
+                roots.append((s, a, signed_sqrt(s, a, poly)))
+    for s1, a1, r1 in roots:
+        for s2, a2, r2 in roots:
+            want = s1 if s1 != s2 else s1 * ((a1 > a2) - (a1 < a2))
+            assert compare_roots(r1, r2) == want
+    for s, a, r in roots:
+        f = isqrt(a)
+        # inside the interval, outside it and at both of its ends
+        for q in (1, 2, 3, 7):
+            for p in range(q * (f - 1), q * (f + 2) + 1):
+                v = Fraction(s * p, q)
+                assert r.compare_to_rational(v) == sqrt_order(s, a, v)
+        # x^2 (x^2 - b) has the sign of a - b at +-sqrt(a), where x^2 > 0
+        for b in NON_SQUARES:
+            q = IntPolynomial.from_coeffs([0, 0, -b, 0, 1])
+            assert r.sign_of(q) == (a > b) - (a < b)
+
+
+def test_count_roots_from_builds_each_counter_once(monkeypatch):
+    sqrt2 = max_real_root(X2_MINUS_2)
+    p = X2_MINUS_2 * from_roots([3])
+    built = []
+    counter = roots_module._RootCounter
+
+    def recording(q):
+        built.append(q)
+        return counter(q)
+
+    monkeypatch.setattr(roots_module, "_RootCounter", recording)
+    # one counter for gcd(x^2 - 2, p) and one for p itself
+    assert count_roots_from(p, sqrt2) == 2
+    assert built == [X2_MINUS_2, p]
+    built.clear()
+    assert count_roots_above(p, sqrt2) == 1
+    assert built == [X2_MINUS_2, p]
 
 
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4), st.lists(st.integers(-6, 6), min_size=1, max_size=4))

@@ -23,6 +23,7 @@ from oddcycle import (
     star_graph,
     switching_representatives,
 )
+from oddcycle import skew as skew_module
 from oddcycle.skew import _alternating_form
 
 from oracles import charpoly_reference, matchings_by_size_reference
@@ -237,15 +238,38 @@ def test_radius_agrees_with_matching_root_on_odd_cycle_graphs(o):
         assert compare_roots(skew_spectral_radius(o), max_matching_root(o.graph)) == EQ
 
 
-def test_size_guards():
-    big = complete_graph(8)
-    with pytest.raises(GraphTooLargeError):
-        list(all_orientations(big))
+def cliques(*sizes: int) -> Graph:
+    """Disjoint complete graphs of the given orders."""
+    edges, base = [], 0
+    for k in sizes:
+        edges += [(base + u, base + v) for u, v in complete_graph(k).edge_list()]
+        base += k
+    return Graph.from_edges(base, edges)
+
+
+def test_size_guards(monkeypatch):
     with pytest.raises(GraphTooLargeError):
         skew_char_poly(Orientation(Graph.empty(25), 0))
-    # the sweep is capped by its 2^(m - n + c) switching classes, not by m:
-    # K8 has 28 - 8 + 1 = 21 free bits, K_{1,21} has 21 edges and none
+
+    def unreachable(o):
+        raise AssertionError("evaluated an orientation of a refused graph")
+
+    monkeypatch.setattr(skew_module, "skew_spectral_radius", unreachable)
+    # each sweep refuses a graph just above its cap before it evaluates one
+    # orientation; at the cap it starts.  `skew --all` takes m <= 14
+    assert next(all_orientations(star_graph(14))).mask == 0
     with pytest.raises(GraphTooLargeError):
-        max_skew_spectral_radius(complete_graph(8))
+        next(all_orientations(star_graph(15)))
+    # the radius sweep takes m - n + c <= 12, the log2 of its switching
+    # classes: K6 + K3 + K3 has 10 + 1 + 1 free bits, K6 + K4 has 10 + 3
+    assert sum(1 for _ in switching_representatives(cliques(6, 3, 3))) == 2**12
+    with pytest.raises(GraphTooLargeError):
+        max_skew_spectral_radius(cliques(6, 4))
+    # a vertex joined to four vertices of K6: 10 + 3 free bits
+    k6_plus = Graph.from_edges(7, list(complete_graph(6).edge_list()) + [(u, 6) for u in range(4)])
+    with pytest.raises(GraphTooLargeError):
+        max_skew_spectral_radius(k6_plus)
+    monkeypatch.undo()
+    # K_{1,21} has 21 edges and no free bit
     star = star_graph(21)
     assert compare_roots(max_skew_spectral_radius(star), max_matching_root(star)) == EQ
