@@ -2,11 +2,10 @@
 
 Vertices are 0..n-1 with n <= 64, so every adjacency row fits in a single
 machine word and induced subgraphs are plain vertex masks.  Includes
-connectivity, the all-cycles-odd test, one biconnected-block walk that
-gives the component count and long odd cycles of a graph whose blocks are
-edges and odd cycles, and a refinement-plus-backtracking search that
-answers whether two small graphs are isomorphic.  Nothing here counts
-automorphisms.
+connectivity, one BFS spanning-forest walk that tells whether every cycle
+is odd and, if so, gives the component count and the long odd cycles, and
+a refinement-plus-backtracking search that answers whether two small
+graphs are isomorphic.  Nothing here counts automorphisms.
 """
 
 from __future__ import annotations
@@ -286,111 +285,80 @@ def is_connected(g: Graph) -> bool:
     return _component_mask(g.adj, 0, (1 << g.n) - 1) == (1 << g.n) - 1
 
 
-# ------------------------------------------------------------------- blocks
+# -------------------------------------------------------------- cycle shape
 
 
-def _blocks(n: int, adj):
-    """Iterative Tarjan walk: yield each biconnected block's edges, as a list
-    of (u, v) pairs, when the block closes.  Isolated vertices belong to no
-    block."""
-    disc = [0] * n
-    low = [0] * n
-    # where the tree edge into each vertex sits on the edge stack
-    entry = [0] * n
-    timer = 1
-    estack: list[tuple[int, int]] = []
+def long_odd_cycles(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    """Shape of g from one BFS spanning forest: None if g has an even cycle,
+    else (components, cycles).
+
+    Every cycle of g is odd exactly when the fundamental cycles of the
+    forest are odd and pairwise edge-disjoint: two sharing an edge make an
+    even cycle, and disjoint ones leave every cycle fundamental.  A non-tree
+    edge uw closes an odd cycle exactly when depth(u) = depth(w); it is taken
+    once, when its second end is dequeued, and its cycle is walked up to the
+    common ancestor, marking each tree edge by its child vertex.
+
+    components counts the BFS roots.  cycles lists the odd cycles with at
+    least 5 edges, each from its smallest vertex toward its smaller
+    neighbour, sorted lexicographically.
+    """
+    n, adj = g.n, g.adj
+    parent = [0] * n
+    depth = [0] * n
+    seen = done = marked = 0
+    components = 0
+    cycles = []
     for root in range(n):
-        if disc[root]:
+        if (seen >> root) & 1:
             continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, adj[root])]
-        while stack:
-            v, rem = stack[-1]
-            if rem:
-                b = rem & -rem
-                stack[-1] = (v, rem ^ b)
-                w = b.bit_length() - 1
-                if not disc[w]:
-                    entry[w] = len(estack)
-                    estack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, adj[w] & ~(1 << v)))
-                elif disc[w] < disc[v]:
-                    estack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            else:
-                stack.pop()
-                if not stack:
-                    continue
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    edges = estack[entry[v]:]
-                    del estack[entry[v]:]
-                    yield edges
-
-
-def _bad_block(edges) -> bool:
-    """True unless the block is a single edge or an odd cycle, i.e. unless
-    it has one edge, or e edges on exactly e vertices with e odd."""
-    e = len(edges)
-    if e == 1:
-        return False
-    if e % 2 == 0:
-        return True
-    vmask = 0
-    for u, v in edges:
-        vmask |= (1 << u) | (1 << v)
-    return vmask.bit_count() != e
+        components += 1
+        seen |= 1 << root
+        parent[root] = root
+        queue = [root]
+        for u in queue:
+            row = adj[u]
+            new = row & ~seen
+            seen |= row
+            while new:
+                bit = new & -new
+                new ^= bit
+                w = bit.bit_length() - 1
+                parent[w] = u
+                depth[w] = depth[u] + 1
+                queue.append(w)
+            back = row & done & ~(1 << parent[u])
+            while back:
+                bit = back & -back
+                back ^= bit
+                w = bit.bit_length() - 1
+                if depth[w] != depth[u]:
+                    return None
+                left, right = [u], [w]
+                a, b = u, w
+                while a != b:
+                    ends = (1 << a) | (1 << b)
+                    if marked & ends:
+                        return None
+                    marked |= ends
+                    a, b = parent[a], parent[b]
+                    left.append(a)
+                    right.append(b)
+                if len(left) >= 3:
+                    cycle = left + right[-2::-1]
+                    i = cycle.index(min(cycle))
+                    cycle = cycle[i:] + cycle[:i]
+                    if cycle[-1] < cycle[1]:
+                        cycle[1:] = cycle[:0:-1]
+                    cycles.append(tuple(cycle))
+            done |= 1 << u
+    return components, tuple(sorted(cycles))
 
 
 def is_odd_cycle_graph(g: Graph) -> bool:
     """True iff every cycle of g is odd, i.e. every biconnected block is a
-    single edge or an odd cycle.  Early-exits on the first bad block."""
-    return not any(map(_bad_block, _blocks(g.n, g.adj)))
-
-
-def _cycle_order(block) -> tuple[int, ...]:
-    neigh: dict[int, list[int]] = {}
-    for u, v in block:
-        neigh.setdefault(u, []).append(v)
-        neigh.setdefault(v, []).append(u)
-    start = min(neigh)
-    second = min(neigh[start])
-    order = [start, second]
-    prev, cur = start, second
-    while cur != start:
-        a, b = neigh[cur]
-        nxt = b if a == prev else a
-        order.append(nxt)
-        prev, cur = cur, nxt
-    order.pop()
-    return tuple(order)
-
-
-def long_odd_cycles(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
-    """Shape of g from one block walk: None if some block is neither an edge
-    nor an odd cycle, else (components, cycles).
-
-    cycles lists the odd cycle blocks with at least 5 edges, each from its
-    smallest vertex toward its smaller neighbour, sorted lexicographically.
-    components follows from sum over blocks B of (|V(B)| - 1) = n - c: an
-    edge block adds 1 and an odd cycle of e edges adds e - 1.
-    """
-    joined = 0
-    cycles = []
-    for edges in _blocks(g.n, g.adj):
-        if _bad_block(edges):
-            return None
-        e = len(edges)
-        joined += 1 if e == 1 else e - 1
-        if e >= 5:
-            cycles.append(_cycle_order(edges))
-    return g.n - joined, tuple(sorted(cycles))
+    single edge or an odd cycle."""
+    return long_odd_cycles(g) is not None
 
 
 # ------------------------------------------------------------- isomorphism

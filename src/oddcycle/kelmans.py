@@ -6,9 +6,9 @@ every edge vw with w outside N(u) ∪ {u} over to uw.  Repeated shifts drive a
 connected graph whose blocks are edges and odd cycles down to the canonical
 form F(n, m): a star on vertex 0 plus a matching among the leaves.
 ``kelmans_transform`` returns only the shifted graph; ``reduce_to_F``
-records each of its shifts as a ``KelmansStep``.  The reduction walks the
-blocks of each graph it sees once, with ``graphs.long_odd_cycles``: that
-one walk shows the graph is connected and has only edges and odd cycles as
+records each of its shifts as a ``KelmansStep``.  The reduction walks each
+graph it sees once, with ``graphs.long_odd_cycles``: that one spanning-forest
+walk shows the graph is connected and has only edges and odd cycles as
 blocks, and names the next long cycle.
 """
 
@@ -134,7 +134,7 @@ def _step(cur: Graph, nxt: Graph, u: int, v: int, phase: KelmansPhase) -> Kelman
 
 
 def _intermediate_cycles(g: Graph, context: str) -> tuple[tuple[int, ...], ...]:
-    """The long odd cycles of an intermediate graph, read from its one block
+    """The long odd cycles of an intermediate graph, read from its one shape
     walk, which also shows that g is still connected and still has only
     edges and odd cycles as blocks."""
     shape = long_odd_cycles(g)
@@ -205,9 +205,12 @@ def reduce_to_F(g: Graph) -> ReductionTrace:
         raise ReductionInvariantError("long-cycle phase exceeded its m/2 step bound")
 
     lift_steps = 0
-    while cur.max_degree() < n - 1:
-        dmax = cur.max_degree()
-        u = next(x for x in range(n) if cur.degree(x) == dmax)
+    while True:
+        degs = [row.bit_count() for row in cur.adj]
+        dmax = max(degs)
+        if dmax >= n - 1:
+            break
+        u = degs.index(dmax)
         near = cur.adj[u]
         two_away = 0
         for w in iter_bits(near):

@@ -18,9 +18,10 @@ every root question is asked at half their degree.  Write p = x^k Q1(x^2)
 with Q1(0) != 0 (``IntPolynomial.parity_split``): the distinct real roots
 of p are 0 when k > 0 and +-sqrt(s) for each positive root s of Q1.  Root
 counts then come from the Sturm chain of Q1 evaluated at x^2, the
-squarefree part of p from that of Q1, and signs from Q1 at x^2.  Every
-interval and every answer is the one the full-degree chain gives;
-polynomials that mix parities keep the chain of p itself.
+squarefree part of p from the first and last members of that same chain,
+and signs from Q1 at x^2.  Every interval and every answer is the one the
+full-degree chain gives; polynomials that mix parities keep the chain of p
+itself.
 
 This module alone decides how narrow an interval is.  ``max_real_root``
 hands out its root refined to width 2^-16, and every question asked of a
@@ -136,20 +137,27 @@ def _count_roots(counter: _RootCounter, lo: Fraction, hi: Fraction | None) -> in
 
 
 def _squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """``p.squarefree_part()``, coefficient for coefficient.
+    """``p.squarefree_part()``, coefficient for coefficient, read off the
+    Sturm chain that counts p's roots.
 
-    For p = x^k Q1(x^2) it is x^z S(x^2) with z = [k > 0] and S the
-    squarefree part of Q1: S(x^2) is squarefree because S(0) != 0, and it
-    keeps S's coefficients, so it is primitive with a positive leading one.
+    That chain is the remainder sequence of Q1 and Q1', with p = x^k Q1(x^2)
+    (Q1 = p when parities mix), so its last member is gcd(Q1, Q1') and the
+    squarefree part S of Q1 is its first member divided by its last.  For a
+    single parity the answer is x^z S(x^2) with z = [k > 0]: S(x^2) is
+    squarefree because S(0) != 0, and it keeps S's coefficients, so it is
+    primitive with a positive leading one.
     """
     split = p.parity_split
+    k, q1 = (0, p) if split is None else split
+    chain = _sturm_chain(q1.coeffs)
+    s = chain[0].exact_div(chain[-1])
+    if s.leading < 0:
+        s = -s
     if split is None:
-        return p.squarefree_part()
-    k, q1 = split
+        return s
     z = k > 0
-    s = q1.squarefree_part().coeffs
-    coeffs = [0] * (2 * len(s) - 1 + z)
-    coeffs[z::2] = s
+    coeffs = [0] * (2 * len(s.coeffs) - 1 + z)
+    coeffs[z::2] = s.coeffs
     return IntPolynomial(tuple(coeffs))
 
 
@@ -305,7 +313,9 @@ def max_real_root(p: IntPolynomial) -> AlgebraicRoot:
     sf = _squarefree_part(p)
     if sf.degree < 1:
         raise NoRealRootError("constant polynomial has no roots")
-    counter = _RootCounter(sf)
+    # p's own counter holds wherever p does not vanish, and sf, whose sign
+    # picks each bisection point, vanishes exactly where p does
+    counter = _RootCounter(p)
     bound = sf.root_bound()
     # every root lies strictly inside (-B, B), so none is above B
     a, b, d = -bound.numerator, bound.numerator, bound.denominator

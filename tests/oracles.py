@@ -2,6 +2,7 @@
 
 Everything here deliberately uses different machinery from the library:
 direct bit-string assembly for graph6, simple-path enumeration for cycles,
+a Tarjan biconnected-block walk for the cycle shape of larger graphs,
 Laplace expansion for characteristic polynomials, frozenset bookkeeping for
 matching counts, numpy subset tests for the bulk matching census,
 edge-subset combinations filtered by the odd, edge-disjoint fundamental
@@ -92,6 +93,79 @@ def simple_cycles(n: int, edges):
 def has_even_cycle(n: int, edges) -> bool:
     """Search every simple cycle for one of even length."""
     return any(len(c) % 2 == 0 for c in simple_cycles(n, edges))
+
+
+def tarjan_blocks(n: int, adj):
+    """Iterative Tarjan walk over bitmask adjacency rows: yield each
+    biconnected block's edges, as a list of (u, v) pairs, when the block
+    closes.  Isolated vertices belong to no block."""
+    disc = [0] * n
+    low = [0] * n
+    # where the tree edge into each vertex sits on the edge stack
+    entry = [0] * n
+    timer = 1
+    estack: list[tuple[int, int]] = []
+    for root in range(n):
+        if disc[root]:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [(root, adj[root])]
+        while stack:
+            v, rem = stack[-1]
+            if rem:
+                b = rem & -rem
+                stack[-1] = (v, rem ^ b)
+                w = b.bit_length() - 1
+                if not disc[w]:
+                    entry[w] = len(estack)
+                    estack.append((v, w))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, adj[w] & ~(1 << v)))
+                elif disc[w] < disc[v]:
+                    estack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    edges = estack[entry[v]:]
+                    del estack[entry[v]:]
+                    yield edges
+
+
+def block_shape_reference(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    """``long_odd_cycles`` from the biconnected blocks of ``tarjan_blocks``.
+
+    None unless every block is a single edge or an odd cycle (e edges on e
+    vertices, e odd).  The component count follows from the sum over blocks
+    of |V(B)| - 1, which is n - c; each cycle of at least 5 edges is read
+    off its block by following neighbours from its smallest vertex toward
+    the smaller one.
+    """
+    joined = 0
+    cycles = []
+    for edges in tarjan_blocks(g.n, g.adj):
+        nbrs: dict[int, list[int]] = {}
+        for u, v in edges:
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
+        e = len(edges)
+        if e > 1 and (e % 2 == 0 or len(nbrs) != e):
+            return None
+        joined += len(nbrs) - 1
+        if e >= 5:
+            start = min(nbrs)
+            order = [start, min(nbrs[start])]
+            while len(order) < e:
+                a, b = nbrs[order[-1]]
+                order.append(b if a == order[-2] else a)
+            cycles.append(tuple(order))
+    return g.n - joined, tuple(sorted(cycles))
 
 
 def _poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -187,6 +261,23 @@ def gcd_reference(a_coeffs, b_coeffs) -> tuple[Fraction, ...]:
         return ()
     lead = a[-1]
     return tuple(c / lead for c in a)
+
+
+def squarefree_reference(p: IntPolynomial) -> IntPolynomial:
+    """p / gcd(p, p') by Fraction long division, scaled to a primitive
+    integer polynomial with positive leading coefficient."""
+    g = gcd_reference(p.coeffs, p.derivative().coeffs)
+    rem = [Fraction(c) for c in p.coeffs]
+    quot = [Fraction(0)] * (len(rem) - len(g) + 1)
+    for top in range(len(quot) - 1, -1, -1):
+        q = rem[top + len(g) - 1] / g[-1]
+        quot[top] = q
+        for i, c in enumerate(g):
+            rem[top + i] -= q * c
+    assert not any(rem), "gcd does not divide p"
+    scale = lcm(*(c.denominator for c in quot))
+    q = IntPolynomial.from_coeffs([int(c * scale) for c in quot]).primitive_part()
+    return -q if q.leading < 0 else q
 
 
 def _sign(p: IntPolynomial, x: Fraction) -> int:

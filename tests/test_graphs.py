@@ -22,11 +22,11 @@ from oddcycle import (
     star_graph,
     write_graph6,
 )
-from oddcycle.graphs import _blocks, _color_classes, _refine, _search_mappings
+from oddcycle.graphs import _color_classes, _refine, _search_mappings
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
-from oracles import automorphism_count, graph6_reference, has_even_cycle, simple_cycles
+from oracles import automorphism_count, graph6_reference, has_even_cycle, simple_cycles, tarjan_blocks
 from strategies import graphs
 
 
@@ -213,11 +213,11 @@ def test_components():
     assert is_connected(Graph.empty(1))
 
 
-# ------------------------------------------------------------------- blocks
+# ------------------------------------------------- the block walk oracle
 
 
 def _block_sets(g):
-    return [frozenset((min(u, v), max(u, v)) for u, v in edges) for edges in _blocks(g.n, g.adj)]
+    return [frozenset((min(u, v), max(u, v)) for u, v in edges) for edges in tarjan_blocks(g.n, g.adj)]
 
 
 def _shared_vertices(blocks):
@@ -267,7 +267,7 @@ def _component_count(n, edges):
 @given(graphs(min_n=2))
 def test_blocks_partition_the_edges(g):
     seen: set[tuple[int, int]] = set()
-    for edges in _blocks(g.n, g.adj):
+    for edges in tarjan_blocks(g.n, g.adj):
         blk = {(min(u, v), max(u, v)) for u, v in edges}
         assert len(blk) == len(edges)
         assert not (blk & seen)
@@ -319,6 +319,9 @@ def test_long_odd_cycles():
     assert len(cyc) == 5
     # an even cycle, or an odd cycle with a chord, is a block of neither shape
     assert long_odd_cycles(cycle_graph(4)) is None
+    assert long_odd_cycles(cycle_graph(6)) is None
+    # two triangles sharing an edge: odd fundamental cycles, not edge-disjoint
+    assert long_odd_cycles(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])) is None
     assert long_odd_cycles(disjoint_union([BOWTIE, cycle_graph(6)])) is None
     assert long_odd_cycles(Graph.from_edges(5, [*cycle_graph(5).edge_list(), (0, 2)])) is None
 

@@ -37,10 +37,10 @@ from oddcycle import (
     write_graph6,
 )
 from oddcycle import kelmans, matching
-from oddcycle.graphs import _blocks
+from oddcycle.graphs import long_odd_cycles
 from oddcycle.extremal import _odd_cycle_classes
 
-from oracles import dominance_reference
+from oracles import block_shape_reference, dominance_reference
 from strategies import graphs
 
 EQUAL = DominanceVerdict.EQUAL_POLYNOMIALS
@@ -242,10 +242,26 @@ def _random_cactus(n: int, rng: random.Random) -> Graph:
 @pytest.mark.parametrize("g", [cycle_graph(9), _random_cactus(16, random.Random(7))], ids=["C9", "cactus"])
 def test_reduce_walks_the_blocks_of_each_graph_once(g, monkeypatch):
     walks = []
-    monkeypatch.setattr("oddcycle.graphs._blocks", lambda n, adj: walks.append(adj) or _blocks(n, adj))
+    monkeypatch.setattr(kelmans, "long_odd_cycles", lambda h: walks.append(h.adj) or long_odd_cycles(h))
     trace = reduce_to_F(g)
     assert trace.phase_counts()[KelmansPhase.LONG_CYCLE] > 0
     assert walks == [g.adj] + [after.adj for _, after in trace.steps]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shape_walk_matches_the_block_walk_on_reduction_traces(seed):
+    """long_odd_cycles against the Tarjan block oracle on every graph of the
+    reduction of a relabelled random cactus of order up to 64, too large for
+    the cycle enumeration, and on each of those graphs with one edge added."""
+    rng = random.Random(seed)
+    n = rng.randrange(24, 65)
+    g = _random_cactus(n, rng).relabeled(rng.sample(range(n), n))
+    for h in [g, *(after for _, after in reduce_to_F(g).steps)]:
+        assert long_odd_cycles(h) == block_shape_reference(h)
+        u, v = rng.sample(range(n), 2)
+        if not h.has_edge(u, v):
+            more = Graph.from_edges(n, [*h.edge_list(), (u, v)])
+            assert long_odd_cycles(more) == block_shape_reference(more)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

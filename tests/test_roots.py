@@ -27,7 +27,7 @@ from oddcycle import (
 from oddcycle import roots as roots_module
 from oddcycle.roots import _count_roots, _RootCounter
 
-from oracles import max_real_root_reference, refined_reference, sturm_root_count
+from oracles import max_real_root_reference, refined_reference, squarefree_reference, sturm_root_count
 from strategies import parity_points, parity_polys
 
 
@@ -40,6 +40,7 @@ def from_roots(roots) -> IntPolynomial:
 
 X2_MINUS_2 = IntPolynomial.from_coeffs([-2, 0, 1])
 X2_MINUS_3 = IntPolynomial.from_coeffs([-3, 0, 1])
+X2_MINUS_5 = IntPolynomial.from_coeffs([-5, 0, 1])
 
 
 def algebraic_poly(roots, k) -> IntPolynomial:
@@ -375,6 +376,36 @@ def test_isolating_interval_invariants():
     assert root.poly.leading > 0
     assert root.lo < root.hi
     assert sturm_root_count(root.poly, root.lo, root.hi) == 1
+
+
+def test_max_real_root_builds_one_remainder_sequence(cold_memos, monkeypatch):
+    roots_module._sturm_chain.cache_clear()
+
+    def no_gcd(self, other):
+        raise AssertionError("IntPolynomial.gcd called while isolating a root")
+
+    monkeypatch.setattr(IntPolynomial, "gcd", no_gcd)
+    # (x^2 - 2)^2 (x^2 - 3), a fresh single-parity polynomial
+    max_real_root(X2_MINUS_2 * X2_MINUS_2 * X2_MINUS_3)
+    assert roots_module._sturm_chain.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        X2_MINUS_2 * X2_MINUS_2 * X2_MINUS_3,
+        IntPolynomial.from_coeffs([0, 0, 0, 1]) * X2_MINUS_5 * X2_MINUS_5,
+        from_roots([-2, 1, 1, 3, 3, 3]),
+    ],
+    ids=["square-times-simple", "x3-times-square", "mixed-parity"],
+)
+def test_max_real_root_of_a_non_squarefree_polynomial(cold_memos, p):
+    got = max_real_root(p)
+    sf = squarefree_reference(p)
+    assert got.poly == sf and sf.degree < p.degree
+    assert (got.lo, got.hi) == max_real_root_reference(p, WIDTH)
+    assert sturm_root_count(sf, got.lo, got.hi) == 1
+    assert sturm_root_count(sf, got.hi, sf.root_bound()) == 0
 
 
 @given(parity_polys())
