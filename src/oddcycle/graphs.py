@@ -70,9 +70,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def max_degree(self) -> int:
-        return max(row.bit_count() for row in self.adj)
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 

@@ -6,6 +6,10 @@ homogenised value sum c_k a^k d^(n-k), and root bounds are powers of two.
 Everything downstream (matching polynomials, Sturm chains, characteristic
 polynomials) is built on this type.
 
+Euclid's algorithm runs in one loop, ``remainder_sequence``; it uses
+pseudo-remainders with sign tracking to stay in integer arithmetic.  Sturm
+chains, ``gcd`` and ``squarefree_decomposition`` are read off it.
+
 Matching polynomials and the alternating forms of skew characteristic
 polynomials have a single parity: p(x) = x^k Q1(x^2) with Q1(0) != 0.  Each
 polynomial finds that split once, on first use, and keeps it
@@ -258,59 +262,53 @@ class IntPolynomial:
             raise ValueError("polynomial division is not exact")
         return IntPolynomial(_normalize(tuple(quot)))
 
-    def gcd(self, other: IntPolynomial) -> IntPolynomial:
-        """Primitive GCD with positive leading coefficient (primitive PRS)."""
-        a, b = self.primitive_part(), other.primitive_part()
-        if a.degree < b.degree:
-            a, b = b, a
-        while not b.is_zero():
-            r, _ = a.pseudo_rem(b)
-            a, b = b, r.primitive_part()
-        if a.is_zero():
-            return a
-        if a.leading < 0:
-            a = -a
-        return a
+    def remainder_sequence(self, other: IntPolynomial) -> tuple[IntPolynomial, ...]:
+        """The primitive parts of self and other, then the primitive part of
+        a positive multiple of -rem of the last two, until a remainder is 0.
 
-    def squarefree_part(self) -> IntPolynomial:
-        """Product of the distinct irreducible factors, positive leading coeff."""
-        if self.degree < 1:
-            return IntPolynomial.one() if self.coeffs else self
-        g = self.gcd(self.derivative())
-        sf = self.primitive_part().exact_div(g) if g.degree > 0 else self.primitive_part()
-        if sf.leading < 0:
-            sf = -sf
-        return sf
+        For the pseudo-remainder (r, k), rem = r / lc^k, so -r is such a
+        multiple unless lc < 0 and k is odd.  The last member is the GCD up
+        to sign; with other = self' the sequence is the Sturm chain of self.
+        """
+        f, g = self.primitive_part(), other.primitive_part()
+        seq = [f]
+        while not g.is_zero():
+            seq.append(g)
+            r, k = f.pseudo_rem(g)
+            f, g = g, (r if g.leading < 0 and k % 2 == 1 else -r).primitive_part()
+        return tuple(seq)
+
+    def gcd(self, other: IntPolynomial) -> IntPolynomial:
+        """Primitive GCD with positive leading coefficient: the last member of
+        the remainder sequence, taken with the higher degree first."""
+        a, b = (self, other) if self.degree >= other.degree else (other, self)
+        g = a.remainder_sequence(b)[-1]
+        return -g if g.leading < 0 else g
 
     def squarefree_decomposition(self) -> list[tuple[IntPolynomial, int]]:
-        """Yun decomposition: [(f_i, i)] with self = c * prod f_i^i, f_i squarefree.
+        """[(f_j, j)] with self = c * prod f_j^j, each f_j squarefree.
 
-        Only factors with positive degree are returned; leading signs are
-        normalized positive (the constant c is dropped).
+        With G_0 the primitive part of self and G_j = gcd(G_(j-1), G_(j-1)'),
+        S_j = G_(j-1) / G_j is the product of the factors of multiplicity at
+        least j, so the multiplicity-j factor is S_j / S_(j+1), with S = 1
+        past the last G of positive degree.  Only factors with positive
+        degree are returned, primitive with positive leading coefficients
+        (the constant c is dropped).
         """
-        p = self.primitive_part()
-        if p.degree < 1:
-            return []
-        if p.leading < 0:
-            p = -p
-        dp = p.derivative()
-        g = p.gcd(dp)
-        if g.degree == 0:
-            return [(p, 1)]
-        c = p.exact_div(g)
-        d = dp.exact_div(g) - c.derivative()
-        out: list[tuple[IntPolynomial, int]] = []
-        i = 1
-        while c.degree > 0:
-            a = c.gcd(d) if not d.is_zero() else c
-            if a.degree > 0:
-                f = a if a.leading > 0 else -a
-                out.append((f.primitive_part(), i))
-                c = c.exact_div(a)
-            d = d.exact_div(a) if a.degree > 0 else d
-            d = d - c.derivative()
-            i += 1
-        return out
+        g = self.primitive_part()
+        if g.leading < 0:
+            g = -g
+        s = []
+        while g.degree > 0:
+            nxt = g.gcd(g.derivative())
+            s.append(g.exact_div(nxt))
+            g = nxt
+        s.append(IntPolynomial.one())
+        return [
+            (a.exact_div(b), j)
+            for j, (a, b) in enumerate(zip(s, s[1:]), start=1)
+            if a.degree > b.degree
+        ]
 
     # -------------------------------------------------------------- formatting
 

@@ -10,8 +10,9 @@ evaluate signs by integer Horner steps; the Fraction endpoints are built
 once, when a loop ends.  Only ``AlgebraicRoot._apart_from`` decides, by a
 polynomial GCD, whether a root is a root of another polynomial; ties between
 two roots are settled through it, and a rational is placed by one sign test.
-No verdict ever rests on floating point.  The chains use pseudo-remainders
-with sign tracking to stay in integer arithmetic.
+No verdict ever rests on floating point.  A Sturm chain is the remainder
+sequence of a polynomial and its derivative
+(``IntPolynomial.remainder_sequence``).
 
 Matching polynomials and alternating skew forms have a single parity, and
 every root question is asked at half their degree.  Write p = x^k Q1(x^2)
@@ -60,20 +61,8 @@ class NoRealRootError(ValueError):
 
 @lru_cache(maxsize=4096)
 def _sturm_chain(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
-    f = IntPolynomial(coeffs).primitive_part()
-    g = f.derivative().primitive_part()
-    chain = [f]
-    while not g.is_zero():
-        chain.append(g)
-        r, k = f.pseudo_rem(g)
-        # true remainder is r / lc(g)^k; flip so the chain member is a
-        # positive multiple of the negated remainder
-        if g.leading < 0 and k % 2 == 1:
-            nxt = r
-        else:
-            nxt = -r
-        f, g = g, nxt.primitive_part()
-    return tuple(chain)
+    f = IntPolynomial(coeffs)
+    return f.remainder_sequence(f.derivative())
 
 
 def _variations(chain, num: int, den: int) -> int:
@@ -137,8 +126,8 @@ def _count_roots(counter: _RootCounter, lo: Fraction, hi: Fraction | None) -> in
 
 
 def _squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """``p.squarefree_part()``, coefficient for coefficient, read off the
-    Sturm chain that counts p's roots.
+    """The squarefree part of p, primitive with a positive leading
+    coefficient, read off the Sturm chain that counts p's roots.
 
     That chain is the remainder sequence of Q1 and Q1', with p = x^k Q1(x^2)
     (Q1 = p when parities mix), so its last member is gcd(Q1, Q1') and the

@@ -9,15 +9,19 @@ edge-subset combinations filtered by the odd, edge-disjoint fundamental
 cycles of a BFS spanning forest for the labeled odd-cycle enumeration, the
 exponential transform of 2^C(n,2) for connected labeled counts, a plain
 backtracking search over degree-preserving maps for automorphism counts,
-and Fraction arithmetic for root bisection, Sturm counts and dominance.  Slow
-is fine; these exist to be obviously right.  The two identity checks at the end are the
-exception: they hold the library's own matching polynomials to the deletion
-and disjoint-union identities.
+and Fraction arithmetic for root bisection, Sturm counts and dominance.
+The root oracles build their own GCDs, squarefree parts, Sturm chains and
+Yun decompositions by Fraction long division; they import nothing from
+``oddcycle.roots`` and never call the library's remainder sequence.  Slow
+is fine; these exist to be obviously right.  The two identity checks at the
+end are the exception: they hold the library's own matching polynomials to
+the deletion and disjoint-union identities.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
 
@@ -31,7 +35,6 @@ from oddcycle import (
     edge_cap,
     matching_polynomial,
 )
-from oddcycle.roots import _sturm_chain
 
 LABELED_MAX_N = 9
 
@@ -88,6 +91,15 @@ def simple_cycles(n: int, edges):
 
     for s in range(n):
         yield from walk(s, [s], {s})
+
+
+def labeled_graphs(n: int):
+    """Yield all 2^C(n,2) labeled graphs of order n, by edge mask ascending,
+    bit i of the mask standing for the i-th vertex pair in lexicographic
+    order."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
 def has_even_cycle(n: int, edges) -> bool:
@@ -235,28 +247,50 @@ def matchings_by_size_reference(n: int, edges) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _trim(p: list[Fraction]) -> list[Fraction]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _fractions(coeffs) -> list[Fraction]:
+    return _trim([Fraction(c) for c in coeffs])
+
+
+def _derivative(p: list[Fraction]) -> list[Fraction]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _divmod_reference(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by the nonzero b, by long division over Q."""
+    rem = list(a)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for top in range(len(quot) - 1, -1, -1):
+        q = rem[top + len(b) - 1] / b[-1]
+        quot[top] = q
+        for i, c in enumerate(b):
+            rem[top + i] -= q * c
+    return _trim(quot), _trim(rem[: len(b) - 1])
+
+
+def _exact_quotient(a, b) -> list[Fraction]:
+    quot, rem = _divmod_reference(a, b)
+    assert not rem, "inexact division"
+    return quot
+
+
+def _integer_multiple(p) -> IntPolynomial:
+    """The Fraction polynomial p times the positive rational that makes it a
+    primitive integer polynomial."""
+    scale = lcm(*(c.denominator for c in p))
+    return IntPolynomial.from_coeffs([c * scale for c in p]).primitive_part()
+
+
 def gcd_reference(a_coeffs, b_coeffs) -> tuple[Fraction, ...]:
     """Monic polynomial GCD over Q by plain Euclidean division."""
-
-    def trim(p: list[Fraction]) -> list[Fraction]:
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        a = a[:]
-        while len(a) >= len(b) and a:
-            q = a[-1] / b[-1]
-            off = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[off + i] -= q * c
-            trim(a)
-        return a
-
-    a = trim([Fraction(c) for c in a_coeffs])
-    b = trim([Fraction(c) for c in b_coeffs])
+    a, b = _fractions(a_coeffs), _fractions(b_coeffs)
     while b:
-        a, b = b, rem(a, b)
+        a, b = b, _divmod_reference(a, b)[1]
     if not a:
         return ()
     lead = a[-1]
@@ -266,18 +300,45 @@ def gcd_reference(a_coeffs, b_coeffs) -> tuple[Fraction, ...]:
 def squarefree_reference(p: IntPolynomial) -> IntPolynomial:
     """p / gcd(p, p') by Fraction long division, scaled to a primitive
     integer polynomial with positive leading coefficient."""
-    g = gcd_reference(p.coeffs, p.derivative().coeffs)
-    rem = [Fraction(c) for c in p.coeffs]
-    quot = [Fraction(0)] * (len(rem) - len(g) + 1)
-    for top in range(len(quot) - 1, -1, -1):
-        q = rem[top + len(g) - 1] / g[-1]
-        quot[top] = q
-        for i, c in enumerate(g):
-            rem[top + i] -= q * c
-    assert not any(rem), "gcd does not divide p"
-    scale = lcm(*(c.denominator for c in quot))
-    q = IntPolynomial.from_coeffs([int(c * scale) for c in quot]).primitive_part()
+    f = _fractions(p.coeffs)
+    q = _integer_multiple(_exact_quotient(f, gcd_reference(f, _derivative(f))))
     return -q if q.leading < 0 else q
+
+
+def odd_part_reference(p: IntPolynomial) -> IntPolynomial:
+    """The product of the squarefree factors of odd multiplicity in the
+    nonzero p, by Yun's algorithm over Q with ``gcd_reference``.
+
+    From b = p and d = p', each step takes a = gcd(b, d), then b = b / a
+    and d = d / a - b', until b is constant.  Step 0's a is gcd(p, p'), and
+    step i's is the factor of multiplicity i.
+    """
+    b = _fractions(p.coeffs)
+    d = _derivative(b)
+    odd = (Fraction(1),)
+    mult = 0
+    while len(b) > 1:
+        a = gcd_reference(b, d)
+        b = _exact_quotient(b, a)
+        d = _trim(list(_poly_add(_exact_quotient(d, a), [-c for c in _derivative(b)])))
+        if mult % 2:
+            odd = _poly_mul(odd, a)
+        mult += 1
+    return _integer_multiple(odd)
+
+
+@lru_cache(maxsize=1024)
+def sturm_chain_reference(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
+    """The Sturm chain p, p', -rem(p, p'), ... of the nonzero p, by Fraction
+    long division, each member scaled to a primitive integer polynomial by a
+    positive factor."""
+    a = _fractions(coeffs)
+    b = _derivative(a)
+    chain = [a]
+    while b:
+        chain.append(b)
+        a, b = b, [-c for c in _divmod_reference(a, b)[1]]
+    return tuple(_integer_multiple(c) for c in chain)
 
 
 def _sign(p: IntPolynomial, x: Fraction) -> int:
@@ -334,10 +395,10 @@ def max_real_root_reference(p: IntPolynomial, eps: Fraction) -> tuple[Fraction, 
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    sf = p.squarefree_part()
+    sf = squarefree_reference(p)
     if sf.degree < 1:
         raise NoRealRootError("constant polynomial has no roots")
-    chain = _sturm_chain(sf.coeffs)
+    chain = sturm_chain_reference(sf.coeffs)
     bound = sf.root_bound()
     lo, hi = -bound, bound
     v_lo = _variations_reference(chain, lo)
@@ -368,7 +429,7 @@ def sturm_root_count(p: IntPolynomial, lo: Fraction | int, hi: Fraction | int) -
         raise ValueError("empty interval")
     if _sign(p, lo) == 0 or _sign(p, hi) == 0:
         raise ValueError("interval endpoint is a root; perturb it")
-    chain = _sturm_chain(p.coeffs)
+    chain = sturm_chain_reference(p.coeffs)
     return _variations_reference(chain, lo) - _variations_reference(chain, hi)
 
 
@@ -382,13 +443,11 @@ def _roots_past_reference(
     a root in (lo, hi).  The bracket is then halved with refined_reference
     until q vanishes at neither end and keeps only alpha, if anything, inside.
     """
-    g = gcd_reference(sf.coeffs, q.coeffs)
-    scale = lcm(*(c.denominator for c in g))
-    g_int = IntPolynomial.from_coeffs([int(c * scale) for c in g])
+    g_int = _integer_multiple(gcd_reference(sf.coeffs, q.coeffs))
     on_root = g_int.degree >= 1 and sturm_root_count(g_int, lo, hi) >= 1
     while _sign(q, lo) == 0 or _sign(q, hi) == 0 or sturm_root_count(q, lo, hi) != on_root:
         lo, hi = refined_reference(sf, lo, hi, (hi - lo) / 2)
-    chain = _sturm_chain(q.coeffs)
+    chain = sturm_chain_reference(q.coeffs)
     return on_root, _variations_reference(chain, hi) - _variations_reference(chain, None)
 
 
@@ -410,13 +469,9 @@ def dominance_reference(g1: Graph, g2: Graph) -> DominanceVerdict:
         return DominanceVerdict.EQUAL_POLYNOMIALS
     if d.leading < 0:
         return DominanceVerdict.INCOMPARABLE
-    sf = p1.squarefree_part()
+    sf = squarefree_reference(p1)
     lo, hi = max_real_root_reference(p1, Fraction(1, 2**16))
-    odd_part = IntPolynomial.one()
-    for factor, mult in d.squarefree_decomposition():
-        if mult % 2 == 1:
-            odd_part = odd_part * factor
-    if _roots_past_reference(sf, lo, hi, odd_part)[1] > 0:
+    if _roots_past_reference(sf, lo, hi, odd_part_reference(d))[1] > 0:
         return DominanceVerdict.INCOMPARABLE
     on_root, above = _roots_past_reference(sf, lo, hi, d)
     if on_root or above > 0:

@@ -57,6 +57,7 @@ from oracles import (
     charpoly_reference,
     connected_labeled_counts,
     has_even_cycle,
+    labeled_graphs,
     labeled_odd_cycle_graphs,
     matchings_by_size_reference,
 )
@@ -128,11 +129,9 @@ def test_make_H():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_labeled_enumeration_matches_even_cycle_oracle(n):
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     want_all = 0
     want_connected = 0
-    for mask in range(1 << len(pairs)):
-        g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+    for g in labeled_graphs(n):
         if has_even_cycle(n, g.edge_list()):
             continue
         want_all += 1
@@ -391,10 +390,8 @@ def test_verify_reduction_small():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_F_shape_test_agrees_with_isomorphism_on_all_labeled_graphs(n):
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     shapes = 0
-    for mask in range(1 << len(pairs)):
-        g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+    for g in labeled_graphs(n):
         want = n - 1 <= g.m <= edge_cap(n) and is_isomorphic(g, make_F(n, g.m))
         assert _is_star_plus_matching(g) == want
         shapes += want
@@ -464,11 +461,9 @@ def test_dominance_reports_exactly_the_non_isomorphic_weak_shifts(monkeypatch):
     # representative per failing pair, standing for 4!/|Aut| labeled shifts
     n = 4
     monkeypatch.setattr(extremal, "dominance", lambda g1, g2: DominanceVerdict.WEAKLY_DOMINATES)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     not_isomorphic = 0
     isomorphic = 0
-    for mask in range(1 << len(pairs)):
-        g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+    for g in labeled_graphs(n):
         if not is_connected(g):
             continue
         for u in range(n):
@@ -579,11 +574,7 @@ def test_connected_classes_refuse_an_order_before_growing_any(monkeypatch):
 def test_one_per_class_refines_each_candidate_once(monkeypatch):
     # every labeled graph of order 4 (11 classes) with weight 1, then C6 and
     # 2C3, which refinement cannot tell apart, each twice under two labellings
-    pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-    candidates = [
-        (Graph.from_edges(4, [p for i, p in enumerate(pairs) if mask >> i & 1]), 1)
-        for mask in range(1 << len(pairs))
-    ]
+    candidates = [(g, 1) for g in labeled_graphs(4)]
     c6, two_c3 = cycle_graph(6), disjoint_union([complete_graph(3)] * 2)
     swap = [1, 0, 2, 3, 4, 5]
     candidates += [(c6, 1), (two_c3, 2), (c6.relabeled(swap), 10), (two_c3.relabeled(swap), 20)]
@@ -626,11 +617,9 @@ def test_identity_matches_a_labeled_walk_over_every_orientation(n, total):
     # no switching classes and no class copies: every orientation of every
     # labeled graph by Laplace expansion, up to the first violation when the
     # graph has an even cycle
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     seen = 0
-    for emask in range(1 << len(pairs)):
-        edges = [p for i, p in enumerate(pairs) if emask >> i & 1]
-        g = Graph.from_edges(n, edges)
+    for g in labeled_graphs(n):
+        edges = g.edge_list()
         even = has_even_cycle(n, edges)
         want = [0] * (n + 1)
         for k, count in enumerate(matchings_by_size_reference(n, edges)):

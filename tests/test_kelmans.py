@@ -40,7 +40,7 @@ from oddcycle import kelmans, matching
 from oddcycle.graphs import long_odd_cycles
 from oddcycle.extremal import _odd_cycle_classes
 
-from oracles import block_shape_reference, dominance_reference
+from oracles import block_shape_reference, dominance_reference, labeled_graphs
 from strategies import graphs
 
 EQUAL = DominanceVerdict.EQUAL_POLYNOMIALS
@@ -357,19 +357,11 @@ def test_dominance_rejects_mixed_orders():
         dominance(path_graph(3), path_graph(4))
 
 
-def _labeled_graphs(n: int) -> list[Graph]:
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return [
-        Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
-        for mask in range(1 << len(pairs))
-    ]
-
-
 @pytest.mark.parametrize(
     "universe, counts",
     [
         # all 64 labeled graphs of order 4
-        (lambda: _labeled_graphs(4), (1736, 18, 1754, 588)),
+        (lambda: list(labeled_graphs(4)), (1736, 18, 1754, 588)),
         # the 42 odd-cycle classes of order 6
         (lambda: [g for g, _ in _odd_cycle_classes(6)], (767, 30, 903, 64)),
     ],

@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oddcycle import IntPolynomial
 from oddcycle.roots import _squarefree_part
 
-from oracles import gcd_reference
+from oracles import gcd_reference, odd_part_reference, squarefree_reference, sturm_chain_reference
 from strategies import parity_points, parity_polys
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=0, max_size=6)
@@ -97,8 +97,9 @@ def test_sign_at_ratio_on_the_parity_path(data):
 
 @given(parity_polys())
 def test_squarefree_part_on_the_parity_path(poly):
-    assert _squarefree_part(poly.p).coeffs == poly.p.squarefree_part().coeffs
-    assert _squarefree_part(-poly.p).coeffs == poly.p.squarefree_part().coeffs
+    want = squarefree_reference(poly.p)
+    assert _squarefree_part(poly.p).coeffs == want.coeffs
+    assert _squarefree_part(-poly.p).coeffs == want.coeffs
 
 
 @given(nonzero_polys)
@@ -178,14 +179,38 @@ def test_gcd_matches_rational_euclid(a, b):
         assert got.content() in (0, 1)
 
 
-@given(root_lists, st.lists(st.integers(1, 3), min_size=1, max_size=5))
-def test_squarefree_part_from_known_factorization(roots, mults):
+@given(root_lists, st.lists(st.integers(1, 3), min_size=1, max_size=5), st.sampled_from([1, -2, 3]))
+def test_squarefree_part_from_known_factorization(roots, mults, scale):
     mults = (mults * len(roots))[: len(roots)]
     p = IntPolynomial.one()
     for r, e in zip(roots, mults):
         p = p * from_roots([r] * e)
-    sf = p.squarefree_part()
-    assert sf == from_roots(sorted(set(roots)))
+    p = scale * p
+    assert _squarefree_part(p) == from_roots(sorted(set(roots)))
+    # the multiplicity of r is the sum of the e drawn with it
+    mult = {}
+    for r, e in zip(roots, mults):
+        mult[r] = mult.get(r, 0) + e
+    want = [
+        (from_roots([r for r in sorted(mult) if mult[r] == j]), j)
+        for j in sorted(set(mult.values()))
+    ]
+    assert p.squarefree_decomposition() == want
+    assert odd_part_reference(p) == from_roots([r for r in sorted(mult) if mult[r] % 2])
+
+
+@given(nonzero_polys | parity_polys().map(lambda poly: poly.p))
+# x^4 + x^2: the third member, -x^2, has a negative leading coefficient, and
+# the next pseudo-remainder takes one step, so its sign is flipped back
+@example(IntPolynomial.from_coeffs([0, 0, 1, 0, 1]))
+def test_remainder_sequence_is_the_fraction_sturm_chain(p):
+    got = p.remainder_sequence(p.derivative())
+    want = sturm_chain_reference(p.coeffs)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        # a is a positive multiple of b
+        assert a * b.leading == b * a.leading
+        assert a.leading * b.leading > 0
 
 
 @given(nonzero_polys.filter(lambda p: p.degree >= 1))

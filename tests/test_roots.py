@@ -285,7 +285,7 @@ def test_bisection_matches_fraction_oracle(p, eps):
         tight = got.refined(eps)
         assert (tight.lo, tight.hi) == refined_reference(got.poly, *want, eps)
     # a bracket with thirds for ends, isolating the root nearest zero
-    sf = p.squarefree_part()
+    sf = squarefree_reference(p)
     for k in range(1, 64):
         lo, hi = Fraction(-k, 3), Fraction(k, 3)
         if sf.evaluate(lo) and sf.evaluate(hi) and sturm_root_count(sf, lo, hi) == 1:
@@ -418,7 +418,7 @@ def test_parity_max_real_root_matches_fraction_oracle(poly):
             max_real_root(p)
         return
     got = max_real_root(p)
-    assert got.poly == p.squarefree_part()
+    assert got.poly == squarefree_reference(p)
     assert (got.lo, got.hi) == want
 
 
@@ -431,7 +431,7 @@ def test_parity_root_counts(data):
     if p.evaluate(lo) and p.evaluate(hi):
         assert _count_roots(_RootCounter(p), lo, hi) == sturm_root_count(p, lo, hi)
     # the chain of a squarefree p counts those in (lo, hi] wherever the ends are
-    sf = p.squarefree_part()
+    sf = squarefree_reference(p)
     counter = _RootCounter(sf)
     assert _count_roots(counter, lo, hi) == poly.roots_in(lo, hi)
     assert _count_roots(counter, lo, None) == poly.roots_in(lo, p.root_bound())

@@ -26,7 +26,7 @@ from oddcycle import (
 from oddcycle import skew as skew_module
 from oddcycle.skew import _alternating_form
 
-from oracles import charpoly_reference, matchings_by_size_reference
+from oracles import charpoly_reference, labeled_graphs, matchings_by_size_reference
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
@@ -75,9 +75,7 @@ def test_char_poly_matches_laplace_expansion_exhaustive():
     switching-class representative of every labeled graph of order 5."""
     checked = 0
     for n in range(1, 6):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for emask in range(1 << len(pairs)):
-            g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (emask >> i) & 1])
+        for g in labeled_graphs(n):
             masks = range(1 << g.m) if n <= 4 else switching_representatives(g)
             for mask in masks:
                 o = Orientation(g, mask)
@@ -147,9 +145,7 @@ def test_switching_representatives_exhaustive():
     # as many representatives as classes, and no two in one class: exactly
     # one representative per class
     for n in range(1, 6):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for emask in range(1 << len(pairs)):
-            g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (emask >> i) & 1])
+        for g in labeled_graphs(n):
             reps = list(switching_representatives(g))
             c = _component_count(g)
             assert reps == sorted(reps)
@@ -173,9 +169,7 @@ def matching_count_polynomial(g: Graph) -> IntPolynomial:
 def test_identity_target_matches_the_subset_oracle(n):
     # the identity sweep's target is the alternating form of m(G); hold it
     # to matchings counted without the deletion recurrence
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for emask in range(1 << len(pairs)):
-        g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (emask >> i) & 1])
+    for g in labeled_graphs(n):
         assert _alternating_form(matching_polynomial(g), n) == matching_count_polynomial(g)
 
 
