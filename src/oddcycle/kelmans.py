@@ -244,10 +244,13 @@ def dominance(g1: Graph, g2: Graph) -> DominanceVerdict:
     The decision is exact.  A negative leading coefficient settles the far
     end of the ray at once.  With a positive one, d > 0 on the whole ray
     exactly when d has no root at or past t(G1), and that one count decides
-    the strict case.  Otherwise any odd-multiplicity root of d past t(G1)
-    forces a sign change there, while even-multiplicity roots, and a root at
-    t(G1) itself, only touch zero; a Sturm count of the odd part of d past
-    the isolated t(G1) separates the incomparable from the weak case.
+    the strict case.  ``count_roots_from`` first tries Descartes' rule at the
+    lower end of t(G1)'s interval and trusts only a count of 0; that settles
+    almost every strict pair with no Sturm chain of d.  Otherwise any
+    odd-multiplicity root of d past t(G1) forces a sign change there, while
+    even-multiplicity roots, and a root at t(G1) itself, only touch zero; a
+    Sturm count of the odd part of d past the isolated t(G1) separates the
+    incomparable from the weak case.
     """
     if g1.n != g2.n:
         raise ValueError("graphs must have the same vertex count")

@@ -12,7 +12,11 @@ polynomial GCD, whether a root is a root of another polynomial; ties between
 two roots are settled through it, and a rational is placed by one sign test.
 No verdict ever rests on floating point.  A Sturm chain is the remainder
 sequence of a polynomial and its derivative
-(``IntPolynomial.remainder_sequence``).
+(``IntPolynomial.remainder_sequence``).  A count of the roots of p above a
+root first tries Descartes' rule of signs at the root's lower end: when
+p(x + lo) has no sign variation, p has no root past lo and the count is 0
+with no GCD and no Sturm chain.  Only that 0 is trusted; every other
+answer comes from the Sturm count.
 
 Matching polynomials and alternating skew forms have a single parity, and
 every root question is asked at half their degree.  Write p = x^k Q1(x^2)
@@ -123,6 +127,41 @@ def _count_roots(counter: _RootCounter, lo: Fraction, hi: Fraction | None) -> in
     """Distinct real roots in (lo, hi]; hi=None means +infinity."""
     above_hi = 0 if hi is None else counter.above(hi.numerator, hi.denominator)
     return counter.above(lo.numerator, lo.denominator) - above_hi
+
+
+def _variations_past(p: IntPolynomial, a: Fraction) -> int:
+    """Sign variations of the coefficients of p(x + a), zeros skipped.
+
+    By Descartes' rule of signs this bounds the number of roots of p
+    greater than a, counted with multiplicity, and has the same parity.
+    With a = num/den the variations are those of den^deg p((x + num)/den):
+    scaling x by den > 0 keeps every sign, the coefficient of x^k in
+    den^deg p(x/den) is c_k den^(deg - k), and the shift by num is a
+    Taylor shift in integers.  For p = x^k Q1(x^2) and a > 0 the roots of p
+    above a are the sqrt(s) for the roots s of Q1 above a^2, so Q1 is
+    shifted by a^2 instead, at half the degree.
+    """
+    num, den = a.numerator, a.denominator
+    split = p.parity_split
+    if split is not None and num > 0:
+        p, num, den = split[1], num * num, den * den
+    b = list(p.coeffs)
+    deg = len(b) - 1
+    pw = 1
+    for k in range(deg, -1, -1):
+        b[k] *= pw
+        pw *= den
+    for i in range(deg):
+        for j in range(deg - 1, i - 1, -1):
+            b[j] += num * b[j + 1]
+    count = 0
+    prev = 0
+    for c in b:
+        if c:
+            if prev and (c > 0) != (prev > 0):
+                count += 1
+            prev = c
+    return count
 
 
 def _squarefree_part(p: IntPolynomial) -> IntPolynomial:
@@ -329,10 +368,13 @@ def max_matching_root(g: Graph) -> AlgebraicRoot:
 def count_roots_above(p: IntPolynomial, root: AlgebraicRoot) -> int:
     """Number of distinct real roots of p strictly greater than ``root``.
 
-    Refines the interval until its closure holds no root of p other than
-    (possibly) the algebraic number itself, then counts past the upper end.
+    Descartes' rule goes first: no sign variation in p(x + root.lo) means
+    no root of p past root.lo < root, and the answer 0.  Only that 0 is
+    trusted.  Otherwise the interval is refined until its closure holds no
+    root of p other than (possibly) the algebraic number itself, and the
+    Sturm count past the upper end is the answer.
     """
-    if p.degree < 1:
+    if not _variations_past(p, root.lo):
         return 0
     _, r, counter = root._apart_from(p)
     return _count_roots(counter, r.hi, None)
@@ -340,8 +382,12 @@ def count_roots_above(p: IntPolynomial, root: AlgebraicRoot) -> int:
 
 def count_roots_from(p: IntPolynomial, root: AlgebraicRoot) -> int:
     """Number of distinct real roots of p in [root, +infinity): those of
-    ``count_roots_above`` plus ``root`` itself when p vanishes there."""
-    if p.degree < 1:
+    ``count_roots_above`` plus ``root`` itself when p vanishes there.
+
+    The same Descartes test at root.lo answers 0 when p(x + root.lo) has no
+    sign variation; any other answer comes from the Sturm count.
+    """
+    if not _variations_past(p, root.lo):
         return 0
     on_root, r, counter = root._apart_from(p)
     return on_root + _count_roots(counter, r.hi, None)

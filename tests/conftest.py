@@ -2,6 +2,7 @@ import hypothesis
 import pytest
 
 from oddcycle import matching_polynomial, max_real_root
+from oddcycle import roots
 
 hypothesis.settings.register_profile(
     "exact",
@@ -14,6 +15,8 @@ hypothesis.settings.load_profile("exact")
 
 @pytest.fixture
 def cold_memos():
-    """Empty the m(G) and root memos, so a test sees only its own calls."""
+    """Empty the m(G), root and Sturm chain memos, so a test sees only its
+    own calls."""
     matching_polynomial.cache_clear()
     max_real_root.cache_clear()
+    roots._sturm_chain.cache_clear()

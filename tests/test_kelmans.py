@@ -36,7 +36,7 @@ from oddcycle import (
     star_graph,
     write_graph6,
 )
-from oddcycle import kelmans, matching
+from oddcycle import kelmans, matching, roots
 from oddcycle.graphs import long_odd_cycles
 from oddcycle.extremal import _odd_cycle_classes
 
@@ -406,6 +406,9 @@ def test_one_query_expands_each_graph_once(cold_memos, monkeypatch):
     t_f = max_matching_root(make_F(CACTUS.n, CACTUS.m))
     assert profiled == [CACTUS, make_F(CACTUS.n, CACTUS.m)]
     assert max_real_root.cache_info().misses == 2
+    # one chain each for the Q1 of m(G) and of m(F); Descartes' rule settles
+    # the strict case, so d gets none
+    assert roots._sturm_chain.cache_info().misses == 2
     assert compare_roots(t_f, t_g) == GT
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given
@@ -25,10 +25,16 @@ from oddcycle import (
     path_graph,
 )
 from oddcycle import roots as roots_module
-from oddcycle.roots import _count_roots, _RootCounter
+from oddcycle.roots import _count_roots, _RootCounter, _variations_past
 
-from oracles import max_real_root_reference, refined_reference, squarefree_reference, sturm_root_count
-from strategies import parity_points, parity_polys
+from oracles import (
+    gcd_reference,
+    max_real_root_reference,
+    refined_reference,
+    squarefree_reference,
+    sturm_root_count,
+)
+from strategies import graphs, parity_points, parity_polys, rationals
 
 
 def from_roots(roots) -> IntPolynomial:
@@ -236,6 +242,25 @@ def test_count_roots_from_builds_each_counter_once(monkeypatch):
     built.clear()
     assert count_roots_above(p, sqrt2) == 1
     assert built == [X2_MINUS_2, p]
+    # Descartes' rule at sqrt2.lo goes first, and only its 0 is trusted.
+    # x^2 - 4x + 5 has no real root, but two sign variations at any a < 2:
+    # the Sturm count answers, on p's counter alone (the GCD is 1)
+    built.clear()
+    p = IntPolynomial.from_coeffs([5, -4, 1])
+    assert _variations_past(p, Fraction(0)) == _variations_past(p, sqrt2.lo) == 2
+    assert count_roots_from(p, sqrt2) == count_roots_above(p, sqrt2) == 0
+    assert built == [p, p]
+    # no variation: 0 with no counter at all
+    built.clear()
+    q = from_roots([-3, 1]) * IntPolynomial.from_coeffs([1, 0, 1])
+    assert _variations_past(q, sqrt2.lo) == 0
+    assert count_roots_from(q, sqrt2) == count_roots_above(q, sqrt2) == 0
+    assert built == []
+    # one variation at sqrt2.lo and none at sqrt2.hi: a test taken at the
+    # upper end would miss the root itself
+    assert _variations_past(X2_MINUS_2, sqrt2.lo) == 1
+    assert _variations_past(X2_MINUS_2, sqrt2.hi) == 0
+    assert count_roots_from(X2_MINUS_2, sqrt2) == 1
 
 
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4), st.lists(st.integers(-6, 6), min_size=1, max_size=4))
@@ -331,6 +356,57 @@ def test_count_roots_above():
     assert count_roots_above(X2_MINUS_3, sqrt2) == 1
 
 
+def cauchy_bound(p: IntPolynomial) -> Fraction:
+    """1 + max |c_k / c_n| over k < n, past the modulus of every root."""
+    return 1 + Fraction(max(map(abs, p.coeffs[:-1]), default=0), abs(p.leading))
+
+
+def roots_past(p: IntPolynomial, a: Fraction) -> int:
+    """Real roots of p greater than a, counted with multiplicity, by Sturm
+    counts in Fraction arithmetic over (a, B] with B a Cauchy bound.
+
+    Factors den x - num at a = num/den are divided out first, so no count
+    starts at a root.  A root of multiplicity j is then a root of the first
+    j of p, gcd(p, p'), the GCD of that and its derivative, and so on.
+    """
+    at_a = IntPolynomial.from_coeffs([-a.numerator, a.denominator])
+    while p.degree >= 1 and p.sign_at(a) == 0:
+        p = p.exact_div(at_a)
+    if p.degree < 1:
+        return 0
+    bound = cauchy_bound(p)
+    count = 0
+    while p.degree >= 1:
+        if a < bound:
+            count += sturm_root_count(p, a, bound)
+        g = gcd_reference(p.coeffs, p.derivative().coeffs)
+        scale = lcm(*(c.denominator for c in g))
+        p = IntPolynomial.from_coeffs([c * scale for c in g])
+    return count
+
+
+@given(random_polys | algebraic_polys | parity_polys().map(lambda poly: poly.p), rationals)
+def test_descartes_variations_bound_the_roots_past_a_point(p, a):
+    # Descartes' rule of signs: an upper bound of the same parity
+    v, r = _variations_past(p, a), roots_past(p, a)
+    assert v >= r and (v - r) % 2 == 0
+
+
+@given(st.lists(st.integers(-6, 6), max_size=6), rationals)
+def test_descartes_variations_are_exact_on_real_rooted_products(roots, a):
+    p = from_roots(roots)
+    # and just below each root, where a wrong scale or shift shows first
+    for b in {a, *(r - Fraction(1, 3) for r in roots)}:
+        assert _variations_past(p, b) == sum(r > b for r in roots) == roots_past(p, b)
+
+
+@given(graphs(), rationals)
+def test_descartes_variations_are_exact_on_matching_polynomials(g, a):
+    # every root of m(G) is real (Heilmann-Lieb), so the bound is attained
+    p = matching_polynomial(g)
+    assert _variations_past(p, a) == roots_past(p, a)
+
+
 def test_decimal_str_edge_cases():
     sqrt2 = max_real_root(X2_MINUS_2)
     assert sqrt2.decimal_str(0) == "1"
@@ -379,8 +455,6 @@ def test_isolating_interval_invariants():
 
 
 def test_max_real_root_builds_one_remainder_sequence(cold_memos, monkeypatch):
-    roots_module._sturm_chain.cache_clear()
-
     def no_gcd(self, other):
         raise AssertionError("IntPolynomial.gcd called while isolating a root")
 

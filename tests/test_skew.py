@@ -27,16 +27,14 @@ from oddcycle import skew as skew_module
 from oddcycle.skew import _alternating_form
 
 from oracles import charpoly_reference, labeled_graphs, matchings_by_size_reference
+from strategies import graphs
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
 
 @st.composite
 def oriented_graphs(draw, max_n=5):
-    n = draw(st.integers(1, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    emask = draw(st.integers(0, (1 << len(pairs)) - 1))
-    g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if (emask >> i) & 1])
+    g = draw(graphs(max_n=max_n))
     omask = draw(st.integers(0, (1 << g.m) - 1))
     return Orientation(g, omask)
 
