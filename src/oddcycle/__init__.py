@@ -36,9 +36,8 @@ from .roots import (
     LT,
     AlgebraicRoot,
     NoRealRootError,
+    compare_max_root,
     compare_roots,
-    count_roots_above,
-    count_roots_from,
     max_matching_root,
     max_real_root,
 )
@@ -96,11 +95,10 @@ __all__ = [
     "ReductionTrace",
     "VerificationReport",
     "all_orientations",
+    "compare_max_root",
     "compare_roots",
     "complete_graph",
     "connected_odd_cycle_reps",
-    "count_roots_above",
-    "count_roots_from",
     "cycle_graph",
     "disjoint_union",
     "dominance",

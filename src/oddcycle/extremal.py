@@ -461,8 +461,8 @@ def verify_conjecture(n: int) -> VerificationReport:
 
 def verify_monotonicity(n_max: int) -> VerificationReport:
     """Strict growth of t(F(n, m)) in m (fixed n) and in n (fixed m >= 4)
-    over every grid point where both endpoints are defined, by Sturm
-    comparisons; each grid root is also checked against _F_quartic."""
+    over every grid point where both endpoints are defined, by exact
+    root comparisons; each grid root is also checked against _F_quartic."""
     t0 = time.perf_counter()
     _check_order("monotonicity", n_max)
     bad: list[str] = []

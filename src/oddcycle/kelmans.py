@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, is_connected, iter_bits, long_odd_cycles, write_graph6
 from .matching import matching_polynomial
-from .roots import count_roots_above, count_roots_from, max_real_root
+from .roots import GT, LT, compare_max_root, max_real_root
 from .polynomials import IntPolynomial
 
 
@@ -243,14 +243,13 @@ def dominance(g1: Graph, g2: Graph) -> DominanceVerdict:
 
     The decision is exact.  A negative leading coefficient settles the far
     end of the ray at once.  With a positive one, d > 0 on the whole ray
-    exactly when d has no root at or past t(G1), and that one count decides
-    the strict case.  ``count_roots_from`` first tries Descartes' rule at the
-    lower end of t(G1)'s interval and trusts only a count of 0; that settles
-    almost every strict pair with no Sturm chain of d.  Otherwise any
-    odd-multiplicity root of d past t(G1) forces a sign change there, while
-    even-multiplicity roots, and a root at t(G1) itself, only touch zero; a
-    Sturm count of the odd part of d past the isolated t(G1) separates the
-    incomparable from the weak case.
+    exactly when the largest real root of d lies below t(G1), and
+    ``compare_max_root`` answers that; its Descartes test at the lower end
+    of t(G1)'s interval settles almost every strict pair with no Sturm
+    chain of d.  Otherwise any odd-multiplicity root of d past t(G1)
+    forces a sign change there, while even-multiplicity roots, and a root
+    at t(G1) itself, only touch zero: the pair is incomparable exactly
+    when the largest root of the odd part of d lies above t(G1).
     """
     if g1.n != g2.n:
         raise ValueError("graphs must have the same vertex count")
@@ -262,12 +261,12 @@ def dominance(g1: Graph, g2: Graph) -> DominanceVerdict:
         return DominanceVerdict.INCOMPARABLE
 
     t1 = max_real_root(p1)
-    if count_roots_from(d, t1) == 0:
+    if compare_max_root(d, t1) == LT:
         return DominanceVerdict.STRICTLY_DOMINATES
     odd_part = IntPolynomial.one()
     for factor, mult in d.squarefree_decomposition():
         if mult % 2 == 1:
             odd_part = odd_part * factor
-    if count_roots_above(odd_part, t1) > 0:
+    if compare_max_root(odd_part, t1) == GT:
         return DominanceVerdict.INCOMPARABLE
     return DominanceVerdict.WEAKLY_DOMINATES

@@ -7,16 +7,18 @@ refines: an interval holding exactly one simple root and no root at either
 end keeps the half across which the polynomial changes sign.  Both loops
 carry the interval as integer numerators over one shared denominator and
 evaluate signs by integer Horner steps; the Fraction endpoints are built
-once, when a loop ends.  Only ``AlgebraicRoot._apart_from`` decides, by a
-polynomial GCD, whether a root is a root of another polynomial; ties between
-two roots are settled through it, and a rational is placed by one sign test.
-No verdict ever rests on floating point.  A Sturm chain is the remainder
-sequence of a polynomial and its derivative
-(``IntPolynomial.remainder_sequence``).  A count of the roots of p above a
-root first tries Descartes' rule of signs at the root's lower end: when
-p(x + lo) has no sign variation, p has no root past lo and the count is 0
-with no GCD and no Sturm chain.  Only that 0 is trusted; every other
-answer comes from the Sturm count.
+once, when a loop ends.  No verdict ever rests on floating point.  A Sturm
+chain is the remainder sequence of a polynomial and its derivative
+(``IntPolynomial.remainder_sequence``).
+
+Whether a root alpha of ``poly``, isolated in (lo, hi), is a root of q is
+one sign test.  g = gcd(poly, q) divides ``poly``, so alpha is its only
+possible root in (lo, hi), and a simple one: alpha is a root of q exactly
+when g changes sign across a subinterval that holds alpha.  ``sign_of``
+takes the test across the root's interval, ``compare_roots`` across the
+intersection of two.  ``compare_max_root`` tries Descartes' rule at the
+root's lower end before it isolates p's largest root: no sign variation
+in p(x + lo) means no root of p past lo, so LT with no Sturm chain.
 
 Matching polynomials and alternating skew forms have a single parity, and
 every root question is asked at half their degree.  Write p = x^k Q1(x^2)
@@ -30,13 +32,12 @@ itself.
 
 This module alone decides how narrow an interval is.  ``max_real_root``
 hands out its root refined to width 2^-16, and every question asked of a
-root (its sign under a polynomial, its order against another root, the
-roots of a polynomial above it, its decimal digits) refines
-further on its own, as far as that question needs.  ``max_real_root`` keeps
-the module's one bounded memo of roots, keyed by the polynomial: equal
-polynomials, from relabelled graphs or from orientations whose alternating
-skew form is m(G), are isolated once and share one frozen root, which
-``compare_roots`` recognises at once.
+root (its sign under a polynomial, its order against another root, its
+decimal digits) refines further on its own, as far as that question
+needs.  ``max_real_root`` keeps the module's one bounded memo of roots,
+keyed by the polynomial: equal polynomials, from relabelled graphs or from
+orientations whose alternating skew form is m(G), are isolated once and
+share one frozen root, which ``compare_roots`` recognises at once.
 """
 
 from __future__ import annotations
@@ -121,12 +122,6 @@ class _RootCounter:
             return v - self.v_inf
         on_root = self.chain[0].sign_at_ratio(y_num, y_den) == 0
         return self.r_zero + self.z + self.v_zero - v - on_root
-
-
-def _count_roots(counter: _RootCounter, lo: Fraction, hi: Fraction | None) -> int:
-    """Distinct real roots in (lo, hi]; hi=None means +infinity."""
-    above_hi = 0 if hi is None else counter.above(hi.numerator, hi.denominator)
-    return counter.above(lo.numerator, lo.denominator) - above_hi
 
 
 def _variations_past(p: IntPolynomial, a: Fraction) -> int:
@@ -254,32 +249,29 @@ class AlgebraicRoot:
     def halved(self) -> AlgebraicRoot:
         return self.refined(self.width / 2)
 
-    def _apart_from(self, q: IntPolynomial) -> tuple[bool, AlgebraicRoot, _RootCounter]:
-        """Whether this number is a root of q, an interval for it whose
-        closure holds no other root of q (q nonzero), and q's root counter.
+    def sign_of(self, q: IntPolynomial) -> int:
+        """Exact sign of q evaluated at this algebraic number.
 
-        The GCD with the defining polynomial settles the first part exactly;
-        the interval is then halved until q vanishes at neither end and its
-        Sturm count inside is 1 for a shared root and 0 otherwise.
+        The number is a root of q exactly when gcd(poly, q) changes sign
+        across the interval.  Otherwise the interval is halved until q
+        vanishes at neither end and has no root inside, and q's sign at
+        the lower end is the answer.
         """
+        if q.is_zero():
+            return 0
         g = self.poly.gcd(q)
-        on_root = g.degree >= 1 and _count_roots(_RootCounter(g), self.lo, self.hi) >= 1
+        if g.sign_at(self.lo) != g.sign_at(self.hi):
+            return 0
         counter = _RootCounter(q)
         r = self
         while (
             q.sign_at(r.lo) == 0
             or q.sign_at(r.hi) == 0
-            or _count_roots(counter, r.lo, r.hi) != on_root
+            or counter.above(r.lo.numerator, r.lo.denominator)
+            != counter.above(r.hi.numerator, r.hi.denominator)
         ):
             r = r.halved()
-        return on_root, r, counter
-
-    def sign_of(self, q: IntPolynomial) -> int:
-        """Exact sign of q evaluated at this algebraic number."""
-        if q.is_zero():
-            return 0
-        on_root, r, _ = self._apart_from(q)
-        return 0 if on_root else q.sign_at(r.lo)
+        return q.sign_at(r.lo)
 
     def compare_to_rational(self, value: Fraction | int) -> int:
         """LT, EQ or GT as the root is below, equal to, or above value.
@@ -365,51 +357,41 @@ def max_matching_root(g: Graph) -> AlgebraicRoot:
     return max_real_root(matching_polynomial(g))
 
 
-def count_roots_above(p: IntPolynomial, root: AlgebraicRoot) -> int:
-    """Number of distinct real roots of p strictly greater than ``root``.
-
-    Descartes' rule goes first: no sign variation in p(x + root.lo) means
-    no root of p past root.lo < root, and the answer 0.  Only that 0 is
-    trusted.  Otherwise the interval is refined until its closure holds no
-    root of p other than (possibly) the algebraic number itself, and the
-    Sturm count past the upper end is the answer.
-    """
-    if not _variations_past(p, root.lo):
-        return 0
-    _, r, counter = root._apart_from(p)
-    return _count_roots(counter, r.hi, None)
-
-
-def count_roots_from(p: IntPolynomial, root: AlgebraicRoot) -> int:
-    """Number of distinct real roots of p in [root, +infinity): those of
-    ``count_roots_above`` plus ``root`` itself when p vanishes there.
-
-    The same Descartes test at root.lo answers 0 when p(x + root.lo) has no
-    sign variation; any other answer comes from the Sturm count.
-    """
-    if not _variations_past(p, root.lo):
-        return 0
-    on_root, r, counter = root._apart_from(p)
-    return on_root + _count_roots(counter, r.hi, None)
-
-
 def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:
     """Exact order of two algebraic roots: LT (-1), EQ (0) or GT (+1).
 
     Equal roots (as the memo of ``max_real_root`` hands out) and disjoint
-    intervals decide at once.  Otherwise the closure of a's interval from
-    ``a._apart_from(b.poly)`` holds no root of b's polynomial but possibly
-    a, so b lies inside it exactly when b = a.
+    intervals decide at once.  On an overlap, g = gcd(a.poly, b.poly) has
+    at most one root in the intersection, a simple one, and it is there
+    exactly when a = b; so a sign change of g across the intersection is
+    EQ, and otherwise both intervals are halved until they are disjoint.
     """
     if a == b:
         return EQ
-    if a.hi <= b.lo:
+    if a.hi > b.lo and b.hi > a.lo:
+        g = a.poly.gcd(b.poly)
+        if g.sign_at(max(a.lo, b.lo)) != g.sign_at(min(a.hi, b.hi)):
+            return EQ
+        while a.hi > b.lo and b.hi > a.lo:
+            a, b = a.halved(), b.halved()
+    return LT if a.hi <= b.lo else GT
+
+
+def compare_max_root(p: IntPolynomial, root: AlgebraicRoot) -> int:
+    """LT, EQ or GT as the largest real root of p is below, equal to, or
+    above ``root``; a p with no real root counts as -infinity, so LT.
+
+    Descartes' rule goes first: no sign variation in p(x + root.lo) means
+    no root of p past root.lo < root, and the answer LT.  Any other count
+    of variations proves nothing, so p's largest root is then isolated and
+    compared.
+    """
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    if not _variations_past(p, root.lo):
         return LT
-    if b.hi <= a.lo:
-        return GT
-    _, r, _ = a._apart_from(b.poly)
-    if b.compare_to_rational(r.lo) == LT:
-        return GT
-    if b.compare_to_rational(r.hi) == GT:
+    try:
+        top = max_real_root(p)
+    except NoRealRootError:
         return LT
-    return EQ
+    return compare_roots(top, root)

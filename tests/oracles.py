@@ -2,7 +2,8 @@
 
 Everything here deliberately uses different machinery from the library:
 direct bit-string assembly for graph6, simple-path enumeration for cycles,
-a Tarjan biconnected-block walk for the cycle shape of larger graphs,
+union-find for component counts, a Tarjan biconnected-block walk for the
+cycle shape of larger graphs,
 Laplace expansion for characteristic polynomials, frozenset bookkeeping for
 matching counts, numpy subset tests for the bulk matching census,
 edge-subset combinations filtered by the odd, edge-disjoint fundamental
@@ -100,6 +101,21 @@ def labeled_graphs(n: int):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for mask in range(1 << len(pairs)):
         yield Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+
+
+def component_count(n: int, edges) -> int:
+    """Connected components, by union-find over the edge list."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    return len({find(v) for v in range(n)})
 
 
 def has_even_cycle(n: int, edges) -> bool:

@@ -32,6 +32,14 @@ class ParityPoly:
         return count
 
 
+def from_roots(roots) -> IntPolynomial:
+    """The monic product of x - r over the integer roots r."""
+    p = IntPolynomial.one()
+    for r in roots:
+        p = p * IntPolynomial.from_coeffs([-r, 1])
+    return p
+
+
 @st.composite
 def graphs(draw, min_n=1, max_n=7):
     """A labeled graph of order min_n..max_n, its edge set drawn as a bitmask

@@ -166,8 +166,9 @@ def test_skew_all_orientations(capsys):
 
 
 def test_skew_mask_out_of_range(capsys):
-    code, out, err = run(capsys, "skew", "Bw", "--mask", "8")
-    assert code == 2 and "error:" in err
+    for mask in ("8", "-1"):
+        code, out, err = run(capsys, "skew", "Bw", "--mask", mask)
+        assert code == 2 and "error:" in err
 
 
 # ------------------------------------------------------------------ reduce

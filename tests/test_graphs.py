@@ -28,6 +28,7 @@ BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
 from oracles import (
     automorphism_count,
+    component_count,
     graph6_reference,
     has_even_cycle,
     labeled_graphs,
@@ -250,20 +251,6 @@ def test_block_decomposition_examples():
     assert _block_sets(Graph.empty(3)) == []
 
 
-def _component_count(n, edges):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    return len({find(v) for v in range(n)})
-
-
 @given(graphs(min_n=2))
 def test_blocks_partition_the_edges(g):
     seen: set[tuple[int, int]] = set()
@@ -287,7 +274,7 @@ def _check_block_shape(g):
     assert (shape is None) == even
     if shape is not None:
         long = sorted(c for c in simple_cycles(g.n, g.edge_list()) if len(c) >= 5)
-        assert shape == (_component_count(g.n, g.edge_list()), tuple(long))
+        assert shape == (component_count(g.n, g.edge_list()), tuple(long))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -10,7 +10,6 @@ from oddcycle import (
     EQ,
     GT,
     LT,
-    AlgebraicRoot,
     DominanceVerdict,
     Graph,
     IntPolynomial,
@@ -375,20 +374,23 @@ def test_dominance_matches_the_fraction_oracle_on_every_small_pair(universe, cou
     assert tuple(tally[v] for v in (STRICT, WEAK, INCOMPARABLE, EQUAL)) == counts
     assert [dominance(g1, g2) for g1, g2 in pairs] == want
 
-    # a strict pair is settled by at most one root count (none when d is a
-    # positive constant), without the odd part of d
+    # a strict pair is settled by Descartes' rule or by at most one
+    # isolation of d's largest root (none when d is a positive constant),
+    # without the odd part of d
     def unreachable(self):
         raise AssertionError("squarefree_decomposition reached on a strict pair")
 
-    apart_from = AlgebraicRoot._apart_from
+    isolate = roots.max_real_root
     calls = []
 
-    def counting(self, q):
-        calls.append(q)
-        return apart_from(self, q)
+    def counting(p):
+        calls.append(p)
+        return isolate(p)
 
     monkeypatch.setattr(IntPolynomial, "squarefree_decomposition", unreachable)
-    monkeypatch.setattr(AlgebraicRoot, "_apart_from", counting)
+    # compare_max_root looks max_real_root up in its own module; dominance
+    # isolates t(G1) through the name kelmans imported, which stays uncounted
+    monkeypatch.setattr(roots, "max_real_root", counting)
     for (g1, g2), verdict in zip(pairs, want):
         if verdict is STRICT:
             calls.clear()

@@ -8,19 +8,12 @@ from oddcycle import IntPolynomial
 from oddcycle.roots import _squarefree_part
 
 from oracles import gcd_reference, odd_part_reference, squarefree_reference, sturm_chain_reference
-from strategies import parity_points, parity_polys
+from strategies import from_roots, parity_points, parity_polys
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=0, max_size=6)
 polys = coeff_lists.map(IntPolynomial.from_coeffs)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 root_lists = st.lists(st.integers(-5, 5), min_size=1, max_size=5)
-
-
-def from_roots(roots) -> IntPolynomial:
-    p = IntPolynomial.one()
-    for r in roots:
-        p = p * IntPolynomial.from_coeffs([-r, 1])
-    return p
 
 
 def test_normalization_strips_trailing_zeros():

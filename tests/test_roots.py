@@ -13,10 +13,9 @@ from oddcycle import (
     Graph,
     IntPolynomial,
     NoRealRootError,
+    compare_max_root,
     compare_roots,
     complete_graph,
-    count_roots_above,
-    count_roots_from,
     cycle_graph,
     is_odd_cycle_graph,
     matching_polynomial,
@@ -25,28 +24,26 @@ from oddcycle import (
     path_graph,
 )
 from oddcycle import roots as roots_module
-from oddcycle.roots import _count_roots, _RootCounter, _variations_past
+from oddcycle.roots import _RootCounter, _variations_past
 
 from oracles import (
+    _roots_past_reference,
     gcd_reference,
     max_real_root_reference,
     refined_reference,
     squarefree_reference,
     sturm_root_count,
 )
-from strategies import graphs, parity_points, parity_polys, rationals
-
-
-def from_roots(roots) -> IntPolynomial:
-    p = IntPolynomial.one()
-    for r in roots:
-        p = p * IntPolynomial.from_coeffs([-r, 1])
-    return p
+from strategies import from_roots, graphs, parity_points, parity_polys, rationals
 
 
 X2_MINUS_2 = IntPolynomial.from_coeffs([-2, 0, 1])
 X2_MINUS_3 = IntPolynomial.from_coeffs([-3, 0, 1])
 X2_MINUS_5 = IntPolynomial.from_coeffs([-5, 0, 1])
+# sqrt(2) and sqrt(3) as roots of (x^2 - 2)(x^2 - 3), on intervals that
+# overlap in (3/2, 8/5), where neither root lies
+SQRT2_OF_BOTH = AlgebraicRoot(X2_MINUS_2 * X2_MINUS_3, Fraction(1), Fraction(8, 5))
+SQRT3_OF_BOTH = AlgebraicRoot(X2_MINUS_2 * X2_MINUS_3, Fraction(3, 2), Fraction(2))
 
 
 def algebraic_poly(roots, k) -> IntPolynomial:
@@ -126,6 +123,10 @@ def test_sign_of():
     assert sqrt2.sign_of(X2_MINUS_2 * IntPolynomial.from_coeffs([-5, 1])) == 0
     assert sqrt2.sign_of(IntPolynomial.zero()) == 0
     assert sqrt2.sign_of(IntPolynomial.from_coeffs([7])) == 1
+    # a factor shared with the defining polynomial is not a shared root:
+    # x^2 - 3 vanishes at sqrt(3), outside (1, 8/5)
+    assert SQRT2_OF_BOTH.sign_of(X2_MINUS_3) == -1
+    assert SQRT2_OF_BOTH.sign_of(X2_MINUS_2) == 0
 
 
 def test_compare_to_rational():
@@ -152,6 +153,29 @@ def test_compare_roots():
     minus_sqrt2 = AlgebraicRoot(X2_MINUS_2, Fraction(-2), Fraction(-1))
     assert compare_roots(minus_sqrt2, sqrt2) == LT
     assert compare_roots(sqrt2, minus_sqrt2) == GT
+    # nor two roots of one polynomial on overlapping intervals: the GCD
+    # changes sign across each interval but not across their intersection
+    assert compare_roots(SQRT2_OF_BOTH, SQRT3_OF_BOTH) == LT
+    assert compare_roots(SQRT3_OF_BOTH, SQRT2_OF_BOTH) == GT
+    assert compare_roots(sqrt2, SQRT2_OF_BOTH) == compare_roots(SQRT2_OF_BOTH, sqrt2) == EQ
+
+
+def test_shared_roots_and_root_order_build_no_root_counter(monkeypatch):
+    sqrt2 = max_real_root(X2_MINUS_2)
+
+    def unreachable(q):
+        raise AssertionError("_RootCounter built")
+
+    monkeypatch.setattr(roots_module, "_RootCounter", unreachable)
+    assert sqrt2.sign_of(X2_MINUS_2 * from_roots([5])) == 0
+    assert SQRT3_OF_BOTH.sign_of(X2_MINUS_3 * X2_MINUS_5) == 0
+    assert compare_roots(SQRT2_OF_BOTH, SQRT3_OF_BOTH) == LT
+    assert compare_roots(sqrt2, SQRT2_OF_BOTH) == EQ
+    # different polynomials on one interval: halved apart
+    assert compare_roots(
+        AlgebraicRoot(X2_MINUS_2, Fraction(1), Fraction(2)),
+        AlgebraicRoot(X2_MINUS_3, Fraction(1), Fraction(2)),
+    ) == LT
 
 
 def test_compare_roots_takes_the_gcd_only_once_the_intervals_overlap(monkeypatch):
@@ -225,7 +249,7 @@ def test_root_order_on_overlapping_intervals_matches_integer_arithmetic():
             assert r.sign_of(q) == (a > b) - (a < b)
 
 
-def test_count_roots_from_builds_each_counter_once(monkeypatch):
+def test_compare_max_root_tries_descartes_first(cold_memos, monkeypatch):
     sqrt2 = max_real_root(X2_MINUS_2)
     p = X2_MINUS_2 * from_roots([3])
     built = []
@@ -236,31 +260,29 @@ def test_count_roots_from_builds_each_counter_once(monkeypatch):
         return counter(q)
 
     monkeypatch.setattr(roots_module, "_RootCounter", recording)
-    # one counter for gcd(x^2 - 2, p) and one for p itself
-    assert count_roots_from(p, sqrt2) == 2
-    assert built == [X2_MINUS_2, p]
-    built.clear()
-    assert count_roots_above(p, sqrt2) == 1
-    assert built == [X2_MINUS_2, p]
-    # Descartes' rule at sqrt2.lo goes first, and only its 0 is trusted.
+    # one counter, to isolate p's largest root 3; the order against sqrt2
+    # needs none
+    assert compare_max_root(p, sqrt2) == GT
+    assert built == [p]
+    # Descartes' rule at sqrt2.lo goes first, and only its LT is trusted.
     # x^2 - 4x + 5 has no real root, but two sign variations at any a < 2:
-    # the Sturm count answers, on p's counter alone (the GCD is 1)
+    # isolation builds p's counter and finds no root
     built.clear()
     p = IntPolynomial.from_coeffs([5, -4, 1])
     assert _variations_past(p, Fraction(0)) == _variations_past(p, sqrt2.lo) == 2
-    assert count_roots_from(p, sqrt2) == count_roots_above(p, sqrt2) == 0
-    assert built == [p, p]
-    # no variation: 0 with no counter at all
+    assert compare_max_root(p, sqrt2) == LT
+    assert built == [p]
+    # no variation: LT with no counter at all
     built.clear()
     q = from_roots([-3, 1]) * IntPolynomial.from_coeffs([1, 0, 1])
     assert _variations_past(q, sqrt2.lo) == 0
-    assert count_roots_from(q, sqrt2) == count_roots_above(q, sqrt2) == 0
+    assert compare_max_root(q, sqrt2) == LT
     assert built == []
     # one variation at sqrt2.lo and none at sqrt2.hi: a test taken at the
     # upper end would miss the root itself
     assert _variations_past(X2_MINUS_2, sqrt2.lo) == 1
     assert _variations_past(X2_MINUS_2, sqrt2.hi) == 0
-    assert count_roots_from(X2_MINUS_2, sqrt2) == 1
+    assert compare_max_root(X2_MINUS_2, sqrt2) == EQ
 
 
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4), st.lists(st.integers(-6, 6), min_size=1, max_size=4))
@@ -339,21 +361,48 @@ def test_rational_comparisons_match_fraction_arithmetic(rs, k):
         assert root.sign_of(IntPolynomial.from_coeffs([-v.numerator, v.denominator])) == want
 
 
-def test_count_roots_above():
+def test_compare_max_root():
     sqrt2 = max_real_root(X2_MINUS_2)
     p = from_roots([1, 2, 3])
-    assert count_roots_above(p, sqrt2) == count_roots_from(p, sqrt2) == 2
+    assert compare_max_root(p, sqrt2) == GT
     two = max_real_root(from_roots([2]))
-    # strictly above: the root itself is excluded even when p vanishes there;
-    # from the root on: it is included
-    assert count_roots_above(p, two) == 1
-    assert count_roots_from(p, two) == 2
-    assert count_roots_above(from_roots([3, 3]), sqrt2) == 1
-    assert count_roots_above(IntPolynomial.from_coeffs([7]), sqrt2) == 0
-    assert count_roots_from(IntPolynomial.from_coeffs([7]), sqrt2) == 0
-    assert count_roots_above(X2_MINUS_2, sqrt2) == 0
-    assert count_roots_from(X2_MINUS_2, sqrt2) == 1
-    assert count_roots_above(X2_MINUS_3, sqrt2) == 1
+    # a largest root at the root itself is EQ, one past it GT
+    assert compare_max_root(p, two) == GT
+    assert compare_max_root(from_roots([1, 2]), two) == EQ
+    assert compare_max_root(from_roots([3, 3]), sqrt2) == GT
+    assert compare_max_root(from_roots([1]), sqrt2) == LT
+    assert compare_max_root(IntPolynomial.from_coeffs([7]), sqrt2) == LT
+    assert compare_max_root(X2_MINUS_2, sqrt2) == EQ
+    assert compare_max_root(X2_MINUS_3, sqrt2) == GT
+    # no real root counts as -infinity, past Descartes' two variations
+    assert compare_max_root(IntPolynomial.from_coeffs([5, -4, 1]), sqrt2) == LT
+    with pytest.raises(ValueError):
+        compare_max_root(IntPolynomial.zero(), sqrt2)
+
+
+# roots of integer products times x^2 - k, of degree at most 4
+max_root_polys = st.builds(
+    algebraic_poly, st.lists(st.integers(-6, 6), min_size=1, max_size=2), st.integers(1, 30)
+)
+
+
+@given(
+    random_polys | algebraic_polys | parity_polys().map(lambda poly: poly.p),
+    max_root_polys,
+    st.integers(0, 2),
+)
+def test_compare_max_root_matches_the_fraction_oracle(p, q, power):
+    root = max_real_root(q)
+    # times the root's own polynomial, and its square, to reach EQ and
+    # multiple roots
+    for _ in range(power):
+        p = p * root.poly
+    if p.is_zero():
+        with pytest.raises(ValueError):
+            compare_max_root(p, root)
+        return
+    on_root, above = _roots_past_reference(root.poly, root.lo, root.hi, p)
+    assert compare_max_root(p, root) == (GT if above else EQ if on_root else LT)
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -496,6 +545,10 @@ def test_parity_max_real_root_matches_fraction_oracle(poly):
     assert (got.lo, got.hi) == want
 
 
+def above(counter: _RootCounter, x: Fraction) -> int:
+    return counter.above(x.numerator, x.denominator)
+
+
 @given(st.data())
 def test_parity_root_counts(data):
     poly = data.draw(parity_polys())
@@ -503,12 +556,13 @@ def test_parity_root_counts(data):
     p = poly.p
     # the chain of p counts the distinct roots in (lo, hi) when neither end is a root
     if p.evaluate(lo) and p.evaluate(hi):
-        assert _count_roots(_RootCounter(p), lo, hi) == sturm_root_count(p, lo, hi)
+        counter = _RootCounter(p)
+        assert above(counter, lo) - above(counter, hi) == sturm_root_count(p, lo, hi)
     # the chain of a squarefree p counts those in (lo, hi] wherever the ends are
     sf = squarefree_reference(p)
     counter = _RootCounter(sf)
-    assert _count_roots(counter, lo, hi) == poly.roots_in(lo, hi)
-    assert _count_roots(counter, lo, None) == poly.roots_in(lo, p.root_bound())
+    assert above(counter, lo) - above(counter, hi) == poly.roots_in(lo, hi)
+    assert above(counter, lo) == poly.roots_in(lo, p.root_bound())
 
 
 def test_matching_roots_ask_for_chains_of_half_the_degree(cold_memos, monkeypatch):

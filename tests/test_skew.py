@@ -26,7 +26,7 @@ from oddcycle import (
 from oddcycle import skew as skew_module
 from oddcycle.skew import _alternating_form
 
-from oracles import charpoly_reference, labeled_graphs, matchings_by_size_reference
+from oracles import charpoly_reference, component_count, labeled_graphs, matchings_by_size_reference
 from strategies import graphs
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
@@ -120,32 +120,13 @@ def test_switching_keeps_class_and_char_poly(o, vertices):
     assert skew_char_poly(switched).coeffs == want
 
 
-def _component_count(g: Graph) -> int:
-    """Connected components, one depth-first search per unvisited vertex."""
-    seen = 0
-    count = 0
-    for root in range(g.n):
-        if seen >> root & 1:
-            continue
-        count += 1
-        seen |= 1 << root
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in range(g.n):
-                if g.has_edge(u, w) and not seen >> w & 1:
-                    seen |= 1 << w
-                    stack.append(w)
-    return count
-
-
 def test_switching_representatives_exhaustive():
     # as many representatives as classes, and no two in one class: exactly
     # one representative per class
     for n in range(1, 6):
         for g in labeled_graphs(n):
             reps = list(switching_representatives(g))
-            c = _component_count(g)
+            c = component_count(g.n, g.edge_list())
             assert reps == sorted(reps)
             assert len(set(reps)) == len(reps) == 1 << (g.m - n + c)
             base = Orientation(g, 0)
