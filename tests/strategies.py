@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -38,6 +39,20 @@ def from_roots(roots) -> IntPolynomial:
     for r in roots:
         p = p * IntPolynomial.from_coeffs([-r, 1])
     return p
+
+
+def random_cactus(n: int, rng: random.Random) -> Graph:
+    """A connected graph of order n built from odd cycles and bridges, each
+    block hung at a random earlier vertex."""
+    edges, size = [], 1
+    while size < n:
+        length = rng.choice([k for k in (2, 3, 5, 7) if size + k - 1 <= n])
+        path = [rng.randrange(size), *range(size, size + length - 1)]
+        if length > 2:
+            path.append(path[0])
+        edges += zip(path, path[1:])
+        size += length - 1
+    return Graph.from_edges(n, edges)
 
 
 @st.composite

@@ -40,7 +40,7 @@ from oddcycle.graphs import long_odd_cycles
 from oddcycle.extremal import _odd_cycle_classes
 
 from oracles import block_shape_reference, dominance_reference, labeled_graphs
-from strategies import graphs
+from strategies import graphs, random_cactus
 
 EQUAL = DominanceVerdict.EQUAL_POLYNOMIALS
 STRICT = DominanceVerdict.STRICTLY_DOMINATES
@@ -224,21 +224,7 @@ def test_reduce_guards_each_step(start, context, broken, message, monkeypatch):
         reduce_to_F(start)
 
 
-def _random_cactus(n: int, rng: random.Random) -> Graph:
-    """A connected graph of order n built from odd cycles and bridges, each
-    block hung at a random earlier vertex."""
-    edges, size = [], 1
-    while size < n:
-        length = rng.choice([k for k in (2, 3, 5, 7) if size + k - 1 <= n])
-        path = [rng.randrange(size), *range(size, size + length - 1)]
-        if length > 2:
-            path.append(path[0])
-        edges += zip(path, path[1:])
-        size += length - 1
-    return Graph.from_edges(n, edges)
-
-
-@pytest.mark.parametrize("g", [cycle_graph(9), _random_cactus(16, random.Random(7))], ids=["C9", "cactus"])
+@pytest.mark.parametrize("g", [cycle_graph(9), random_cactus(16, random.Random(7))], ids=["C9", "cactus"])
 def test_reduce_walks_the_blocks_of_each_graph_once(g, monkeypatch):
     walks = []
     monkeypatch.setattr(kelmans, "long_odd_cycles", lambda h: walks.append(h.adj) or long_odd_cycles(h))
@@ -254,7 +240,7 @@ def test_shape_walk_matches_the_block_walk_on_reduction_traces(seed):
     the cycle enumeration, and on each of those graphs with one edge added."""
     rng = random.Random(seed)
     n = rng.randrange(24, 65)
-    g = _random_cactus(n, rng).relabeled(rng.sample(range(n), n))
+    g = random_cactus(n, rng).relabeled(rng.sample(range(n), n))
     for h in [g, *(after for _, after in reduce_to_F(g).steps)]:
         assert long_odd_cycles(h) == block_shape_reference(h)
         u, v = rng.sample(range(n), 2)
@@ -374,9 +360,10 @@ def test_dominance_matches_the_fraction_oracle_on_every_small_pair(universe, cou
     assert tuple(tally[v] for v in (STRICT, WEAK, INCOMPARABLE, EQUAL)) == counts
     assert [dominance(g1, g2) for g1, g2 in pairs] == want
 
-    # a strict pair is settled by Descartes' rule or by at most one
-    # isolation of d's largest root (none when d is a positive constant),
-    # without the odd part of d
+    # on both universes Descartes' rule settles every strict pair, with no
+    # isolation of d's largest root and without the odd part of d; the
+    # isolation fallback is pinned by
+    # test_roots::test_compare_max_root_tries_descartes_first
     def unreachable(self):
         raise AssertionError("squarefree_decomposition reached on a strict pair")
 
@@ -395,7 +382,7 @@ def test_dominance_matches_the_fraction_oracle_on_every_small_pair(universe, cou
         if verdict is STRICT:
             calls.clear()
             assert dominance(g1, g2) is STRICT
-            assert len(calls) <= 1
+            assert len(calls) == 0
 
 
 def test_one_query_expands_each_graph_once(cold_memos, monkeypatch):

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import random
 from math import comb
 
 import pytest
@@ -13,6 +14,8 @@ from oddcycle import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    edge_cap,
+    make_F,
     matching_polynomial,
     matching_profile,
     max_matching_root,
@@ -28,7 +31,7 @@ from oracles import (
     labeled_graphs,
     matchings_by_size_reference,
 )
-from strategies import graphs
+from strategies import graphs, random_cactus
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
@@ -72,25 +75,88 @@ def test_profile_sampled_against_reference(g):
     assert matching_profile(g) == want
 
 
-@pytest.mark.parametrize("s", range(11))
+# the closed forms run to order 64, far past the subset oracle, where the
+# profile is assembled from many components at each pivot
+@pytest.mark.parametrize("s", range(64))
 def test_star_closed_form(s):
     counts = matching_profile(star_graph(s))
     want = tuple(s if k == 1 else (1 if k == 0 else 0) for k in range((s + 1) // 2 + 1))
     assert counts == want
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 65))
 def test_path_counts_are_binomials(n):
     counts = matching_profile(path_graph(n))
     assert counts == tuple(comb(n - k, k) for k in range(n // 2 + 1))
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("n", range(3, 65))
 def test_cycle_counts_closed_form(n):
     counts = matching_profile(cycle_graph(n))
     for k in range(1, n // 2 + 1):
         assert counts[k] * (n - k) == n * comb(n - k, k)
     assert counts[0] == 1
+
+
+def _binom(a: int, b: int) -> int:
+    return comb(a, b) if 0 <= b <= a else 0
+
+
+def test_star_plus_matching_closed_form():
+    # F(n, m) has s = m - n + 1 leaf pairs: a k-matching takes k pairs, or
+    # the centre with one of the n - 1 - 2s free leaves and k - 1 pairs, or
+    # the centre with one end of a pair and k - 1 of the other s - 1 pairs
+    graphs_checked = 0
+    for n in range(1, 65):
+        for m in range(n - 1, edge_cap(n) + 1):
+            s = m - n + 1
+            want = tuple(
+                _binom(s, k) + (n - 1 - 2 * s) * _binom(s, k - 1) + 2 * s * _binom(s - 1, k - 1)
+                for k in range(n // 2 + 1)
+            )
+            assert matching_profile(make_F(n, m)) == want, (n, m)
+            graphs_checked += 1
+    assert graphs_checked == 1056
+
+
+def _deleted(g: Graph, drop) -> IntPolynomial:
+    """m(G - drop, x), built from a fresh profile of the induced subgraph."""
+    sub, _ = g.induced(w for w in range(g.n) if w not in drop)
+    return polynomial_from_profile(matching_profile(sub), sub.n)
+
+
+def _seeded_cactus(seed: int) -> Graph:
+    rng = random.Random(seed)
+    n = rng.randrange(24, 65)
+    return random_cactus(n, rng).relabeled(rng.sample(range(n), n))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vertex_recurrence_on_large_cacti(seed):
+    """m(G) = x m(G - v) - sum_{u ~ v} m(G - u - v) at each minimum-degree v,
+    which is never the recurrence's maximum-degree pivot, on relabelled
+    random cacti of order 24..64."""
+    g = _seeded_cactus(seed)
+    whole = _deleted(g, ())
+    low = min(g.degree(v) for v in range(g.n))
+    assert low < max(g.degree(v) for v in range(g.n))
+    for v in range(g.n):
+        if g.degree(v) == low:
+            rhs = _deleted(g, (v,)).shifted(1)
+            for u in range(g.n):
+                if g.has_edge(u, v):
+                    rhs = rhs - _deleted(g, (u, v))
+            assert whole == rhs, v
+
+
+@pytest.mark.parametrize("seed", range(6, 10))
+def test_derivative_identity_on_large_cacti(seed):
+    """m'(G, x) = sum_v m(G - v, x) on relabelled random cacti of order 24..64."""
+    g = _seeded_cactus(seed)
+    total = IntPolynomial.zero()
+    for v in range(g.n):
+        total = total + _deleted(g, (v,))
+    assert _deleted(g, ()).derivative() == total
 
 
 @given(graphs())
