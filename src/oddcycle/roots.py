@@ -1,24 +1,27 @@
 """Exact real-root isolation and comparison via fraction-free Sturm chains.
 
 Roots are represented as (squarefree defining polynomial, rational isolating
-interval) pairs.  Sturm counts isolate: bisection from a power-of-two root
-bound runs only until one root is left above the lower end.  Sign bisection
-refines: an interval holding exactly one simple root and no root at either
-end keeps the half across which the polynomial changes sign.  Both loops
-carry the interval as integer numerators over one shared denominator and
-evaluate signs by integer Horner steps; the Fraction endpoints are built
-once, when a loop ends.  No verdict ever rests on floating point.  A Sturm
-chain is the remainder sequence of a polynomial and its derivative
+interval) pairs.  Two loops narrow an interval, and nothing else does.
+Sturm counts isolate (``max_real_root``): bisection from a power-of-two
+root bound runs only until one root is left above the lower end.  Sign
+bisection refines (``refined``): an interval holding exactly one simple
+root and no root at either end keeps the half across which the
+polynomial changes sign.  Both loops carry the interval as integer
+numerators over one shared denominator and evaluate signs by integer
+Horner steps; the Fraction endpoints are built once, when a loop ends.
+No verdict ever rests on floating point.  A Sturm chain is the remainder
+sequence of a polynomial and its derivative
 (``IntPolynomial.remainder_sequence``).
 
-Whether a root alpha of ``poly``, isolated in (lo, hi), is a root of q is
-one sign test.  g = gcd(poly, q) divides ``poly``, so alpha is its only
-possible root in (lo, hi), and a simple one: alpha is a root of q exactly
-when g changes sign across a subinterval that holds alpha.  ``sign_of``
-takes the test across the root's interval, ``compare_roots`` across the
-intersection of two.  ``compare_max_root`` tries Descartes' rule at the
-root's lower end before it isolates p's largest root: no sign variation
-in p(x + lo) means no root of p past lo, so LT with no Sturm chain.
+Every other question is a fixed number of exact tests on the interval as
+handed out: one sign places a rational, a GCD sign test and a Sturm-Tarski
+count give the sign of q at the root (``sign_of``), the other root's ends
+and polynomial order two roots (``compare_roots``), and one comparison
+with a rounding boundary gives the digits (``decimal_str``).
+
+``compare_max_root`` tries Descartes' rule at the root's lower end before
+it isolates p's largest root: no sign variation in p(x + lo) means no root
+of p past lo, so LT with no Sturm chain.
 
 Matching polynomials and alternating skew forms have a single parity, and
 every root question is asked at half their degree.  Write p = x^k Q1(x^2)
@@ -30,14 +33,11 @@ and signs from Q1 at x^2.  Every interval and every answer is the one the
 full-degree chain gives; polynomials that mix parities keep the chain of p
 itself.
 
-This module alone decides how narrow an interval is.  ``max_real_root``
-hands out its root refined to width 2^-16, and every question asked of a
-root (its sign under a polynomial, its order against another root, its
-decimal digits) refines further on its own, as far as that question
-needs.  ``max_real_root`` keeps the module's one bounded memo of roots,
-keyed by the polynomial: equal polynomials, from relabelled graphs or from
-orientations whose alternating skew form is m(G), are isolated once and
-share one frozen root, which ``compare_roots`` recognises at once.
+``max_real_root`` hands out its root refined to width 2^-16 and keeps the
+module's one bounded memo of roots, keyed by the polynomial: equal
+polynomials, from relabelled graphs or from orientations whose
+alternating skew form is m(G), are isolated once and share one frozen
+root, which ``compare_roots`` recognises at once.
 """
 
 from __future__ import annotations
@@ -51,10 +51,11 @@ from .graphs import Graph
 from .matching import matching_polynomial
 from .polynomials import IntPolynomial
 
-# Width of the interval max_real_root hands out.  Handing out the bare
-# isolating interval instead made the census slower, most likely because a
-# root compared against many others (the census's running best root) then
-# has its interval halved again in every comparison.
+# Width of the interval max_real_root hands out.  None of the 515 root
+# comparisons in a seeded repetition of the benchmark workloads then
+# overlaps.  With bare isolating intervals 113 of census's 131 and 170 of
+# shifts' 181 overlap and pay a sign_of, and a repetition ran 18 % and 11 %
+# slower (medians of 30 alternating pairs, 2-vCPU Xeon, Python 3.11).
 _WIDTH = Fraction(1, 2**16)
 
 LT, EQ, GT = -1, 0, 1
@@ -64,6 +65,9 @@ class NoRealRootError(ValueError):
     """Raised when a polynomial has no real root to isolate."""
 
 
+# Keyed by Q1, its hits are polynomials that differ by a power of x: 56,
+# 14, 26 and 0 in a seeded repetition of census, orientations, shifts and
+# queries.  Rebuilding census's 56 takes about 1 ms of its 30-40 ms.
 @lru_cache(maxsize=4096)
 def _sturm_chain(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
     f = IntPolynomial(coeffs)
@@ -85,7 +89,9 @@ def _variations(chain, num: int, den: int) -> int:
 
 
 class _RootCounter:
-    """R(x), the number of distinct real roots of p greater than x.
+    """R(x), the number of distinct real roots of p greater than x, and p's
+    squarefree part: ``max_real_root`` isolates with these and nothing else
+    builds one.
 
     For p = x^k Q1(x^2) (``IntPolynomial.parity_split``) the chain is that
     of Q1, with V its sign variations at (num^2, den^2) and z = [k > 0]:
@@ -123,6 +129,22 @@ class _RootCounter:
         on_root = self.chain[0].sign_at_ratio(y_num, y_den) == 0
         return self.r_zero + self.z + self.v_zero - v - on_root
 
+    def squarefree_part(self) -> IntPolynomial:
+        """The squarefree part of p, primitive with a positive leading
+        coefficient.  The chain's last member is gcd(Q1, Q1'), so the
+        squarefree part S of Q1 is its first member divided by its last.
+        For a single parity the answer is x^z S(x^2), squarefree because
+        S(0) != 0, and primitive because it keeps S's coefficients.
+        """
+        s = self.chain[0].exact_div(self.chain[-1])
+        if s.leading < 0:
+            s = -s
+        if not self.square:
+            return s
+        coeffs = [0] * (2 * len(s.coeffs) - 1 + self.z)
+        coeffs[self.z :: 2] = s.coeffs
+        return IntPolynomial(tuple(coeffs))
+
 
 def _variations_past(p: IntPolynomial, a: Fraction) -> int:
     """Sign variations of the coefficients of p(x + a), zeros skipped.
@@ -157,37 +179,6 @@ def _variations_past(p: IntPolynomial, a: Fraction) -> int:
                 count += 1
             prev = c
     return count
-
-
-def _squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """The squarefree part of p, primitive with a positive leading
-    coefficient, read off the Sturm chain that counts p's roots.
-
-    That chain is the remainder sequence of Q1 and Q1', with p = x^k Q1(x^2)
-    (Q1 = p when parities mix), so its last member is gcd(Q1, Q1') and the
-    squarefree part S of Q1 is its first member divided by its last.  For a
-    single parity the answer is x^z S(x^2) with z = [k > 0]: S(x^2) is
-    squarefree because S(0) != 0, and it keeps S's coefficients, so it is
-    primitive with a positive leading one.
-    """
-    split = p.parity_split
-    k, q1 = (0, p) if split is None else split
-    chain = _sturm_chain(q1.coeffs)
-    s = chain[0].exact_div(chain[-1])
-    if s.leading < 0:
-        s = -s
-    if split is None:
-        return s
-    z = k > 0
-    coeffs = [0] * (2 * len(s.coeffs) - 1 + z)
-    coeffs[z::2] = s.coeffs
-    return IntPolynomial(tuple(coeffs))
-
-
-def _nearest_int(f: Fraction) -> int:
-    """Round to the nearest integer, ties toward positive infinity."""
-    q, rem = divmod(f.numerator, f.denominator)
-    return q + (1 if 2 * rem >= f.denominator else 0)
 
 
 def _split(p: IntPolynomial, a: int, b: int, d: int) -> tuple[int, int, int, int, int]:
@@ -246,32 +237,24 @@ class AlgebraicRoot:
                 a = c
         return AlgebraicRoot(p, Fraction(a, d), Fraction(b, d))
 
-    def halved(self) -> AlgebraicRoot:
-        return self.refined(self.width / 2)
-
     def sign_of(self, q: IntPolynomial) -> int:
         """Exact sign of q evaluated at this algebraic number.
 
-        The number is a root of q exactly when gcd(poly, q) changes sign
-        across the interval.  Otherwise the interval is halved until q
-        vanishes at neither end and has no root inside, and q's sign at
-        the lower end is the answer.
+        The number is a root of q exactly when g = gcd(poly, q) changes
+        sign across the interval.  Otherwise the answer is V(lo) - V(hi),
+        V the sign variations of the remainder sequence of poly and
+        poly' q: by the Sturm-Tarski theorem it sums sign q(x) over the
+        roots x of poly in (lo, hi), and this number is the only one.  The
+        sequence takes primitive parts and positive multiples of -rem, so
+        it keeps every sign.  The zero q shares every root of poly.
         """
-        if q.is_zero():
-            return 0
+        lo, hi = self.lo, self.hi
         g = self.poly.gcd(q)
-        if g.sign_at(self.lo) != g.sign_at(self.hi):
+        if g.sign_at(lo) != g.sign_at(hi):
             return 0
-        counter = _RootCounter(q)
-        r = self
-        while (
-            q.sign_at(r.lo) == 0
-            or q.sign_at(r.hi) == 0
-            or counter.above(r.lo.numerator, r.lo.denominator)
-            != counter.above(r.hi.numerator, r.hi.denominator)
-        ):
-            r = r.halved()
-        return q.sign_at(r.lo)
+        seq = self.poly.remainder_sequence(self.poly.derivative() * q)
+        v_lo = _variations(seq, lo.numerator, lo.denominator)
+        return v_lo - _variations(seq, hi.numerator, hi.denominator)
 
     def compare_to_rational(self, value: Fraction | int) -> int:
         """LT, EQ or GT as the root is below, equal to, or above value.
@@ -296,26 +279,20 @@ class AlgebraicRoot:
     def decimal_str(self, digits: int = 12) -> str:
         """Decimal expansion of the root, correctly rounded to ``digits`` places.
 
-        The isolating interval is refined until both endpoints round to the
-        same value, so the last digit is exact; a root sitting exactly on a
-        rounding boundary is rounded away from zero.
+        Refined to width 10^-(digits + 2), the interval puts root * 10^digits
+        in (q - 1/2, q + 1/2 + 1/100) for q the nearest integer to
+        lo * 10^digits, so the root rounds to q or q + 1.  One comparison
+        with the boundary (q + 1/2) / 10^digits between them decides; a root
+        on it rounds away from zero.
         """
         if digits < 0:
             raise ValueError("negative digit count")
         scale = 10**digits
         r = self.refined(Fraction(1, 10 ** (digits + 2)))
-        while True:
-            qlo = _nearest_int(r.lo * scale)
-            qhi = _nearest_int(r.hi * scale)
-            if qlo == qhi:
-                q = qlo
-                break
-            if qhi - qlo == 1:
-                boundary = Fraction(2 * qlo + 1, 2 * scale)
-                if r.poly.sign_at(boundary) == 0:
-                    q = qhi if boundary > 0 else qlo
-                    break
-            r = r.halved()
+        q = (2 * r.lo.numerator * scale + r.lo.denominator) // (2 * r.lo.denominator)
+        side = r.compare_to_rational(Fraction(2 * q + 1, 2 * scale))
+        if side == GT or (side == EQ and q >= 0):
+            q += 1
         s = str(abs(q)).rjust(digits + 1, "0")
         head, tail = (s[:-digits], s[-digits:]) if digits else (s, "")
         return ("-" if q < 0 else "") + head + ("." + tail if tail else "")
@@ -326,16 +303,16 @@ def max_real_root(p: IntPolynomial) -> AlgebraicRoot:
     """The largest real root of p, its isolating interval refined to width 2^-16.
 
     Callers that need a narrower interval ask for it with ``refined``; the
-    root's own questions refine as far as they need.  Memoized by p.
+    root's own questions refine no further.  Memoized by p.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    sf = _squarefree_part(p)
+    counter = _RootCounter(p)
+    sf = counter.squarefree_part()
     if sf.degree < 1:
         raise NoRealRootError("constant polynomial has no roots")
     # p's own counter holds wherever p does not vanish, and sf, whose sign
     # picks each bisection point, vanishes exactly where p does
-    counter = _RootCounter(p)
     bound = sf.root_bound()
     # every root lies strictly inside (-B, B), so none is above B
     a, b, d = -bound.numerator, bound.numerator, bound.denominator
@@ -358,23 +335,29 @@ def max_matching_root(g: Graph) -> AlgebraicRoot:
 
 
 def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:
-    """Exact order of two algebraic roots: LT (-1), EQ (0) or GT (+1).
+    """Exact order of two algebraic roots alpha, beta: LT (-1), EQ (0) or GT (+1).
 
     Equal roots (as the memo of ``max_real_root`` hands out) and disjoint
-    intervals decide at once.  On an overlap, g = gcd(a.poly, b.poly) has
-    at most one root in the intersection, a simple one, and it is there
-    exactly when a = b; so a sign change of g across the intersection is
-    EQ, and otherwise both intervals are halved until they are disjoint.
+    intervals decide at once.  On an overlap, alpha at or below b.lo is LT
+    and alpha at or above b.hi is GT.  Otherwise alpha lies inside b's
+    interval, where b.poly has the one simple root beta: the sign of
+    b.poly at alpha is 0 when alpha = beta, and its sign at b.hi exactly
+    when alpha > beta.
     """
     if a == b:
         return EQ
-    if a.hi > b.lo and b.hi > a.lo:
-        g = a.poly.gcd(b.poly)
-        if g.sign_at(max(a.lo, b.lo)) != g.sign_at(min(a.hi, b.hi)):
-            return EQ
-        while a.hi > b.lo and b.hi > a.lo:
-            a, b = a.halved(), b.halved()
-    return LT if a.hi <= b.lo else GT
+    if a.hi <= b.lo:
+        return LT
+    if b.hi <= a.lo:
+        return GT
+    if a.compare_to_rational(b.lo) != GT:
+        return LT
+    if a.compare_to_rational(b.hi) != LT:
+        return GT
+    s = a.sign_of(b.poly)
+    if s == 0:
+        return EQ
+    return GT if s == b.poly.sign_at(b.hi) else LT
 
 
 def compare_max_root(p: IntPolynomial, root: AlgebraicRoot) -> int:

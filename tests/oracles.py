@@ -467,6 +467,23 @@ def _roots_past_reference(
     return on_root, _variations_reference(chain, hi) - _variations_reference(chain, None)
 
 
+def sign_reference(sf: IntPolynomial, lo: Fraction, hi: Fraction, q: IntPolynomial) -> int:
+    """The sign of q at the one root alpha of the squarefree sf inside
+    (lo, hi), from gcd_reference, sturm_root_count and refined_reference.
+
+    alpha is a root of q exactly when the monic Fraction GCD of sf and q
+    has a root in (lo, hi).  Otherwise the bracket is halved until q
+    vanishes at neither end and has no root inside, and q's sign at the
+    lower end is the answer.
+    """
+    g = gcd_reference(sf.coeffs, q.coeffs)
+    if len(g) > 1 and sturm_root_count(_integer_multiple(g), lo, hi):
+        return 0
+    while _sign(q, lo) == 0 or _sign(q, hi) == 0 or sturm_root_count(q, lo, hi):
+        lo, hi = refined_reference(sf, lo, hi, (hi - lo) / 2)
+    return _sign(q, lo)
+
+
 def dominance_reference(g1: Graph, g2: Graph) -> DominanceVerdict:
     """Sign of d = m(G2, x) - m(G1, x) on x >= t(G1), asked as three
     questions in a fixed order.

@@ -55,6 +55,14 @@ def random_cactus(n: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def seeded_cactus(seed: int) -> Graph:
+    """A random cactus of order 24..64 from a seeded generator, relabelled
+    at random, so that no vertex order favours the recurrence's pivot."""
+    rng = random.Random(seed)
+    n = rng.randrange(24, 65)
+    return random_cactus(n, rng).relabeled(rng.sample(range(n), n))
+
+
 @st.composite
 def graphs(draw, min_n=1, max_n=7):
     """A labeled graph of order min_n..max_n, its edge set drawn as a bitmask

@@ -1,6 +1,5 @@
 import importlib
 import pkgutil
-import random
 from math import comb
 
 import pytest
@@ -31,7 +30,7 @@ from oracles import (
     labeled_graphs,
     matchings_by_size_reference,
 )
-from strategies import graphs, random_cactus
+from strategies import graphs, seeded_cactus
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
@@ -125,18 +124,12 @@ def _deleted(g: Graph, drop) -> IntPolynomial:
     return polynomial_from_profile(matching_profile(sub), sub.n)
 
 
-def _seeded_cactus(seed: int) -> Graph:
-    rng = random.Random(seed)
-    n = rng.randrange(24, 65)
-    return random_cactus(n, rng).relabeled(rng.sample(range(n), n))
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_vertex_recurrence_on_large_cacti(seed):
     """m(G) = x m(G - v) - sum_{u ~ v} m(G - u - v) at each minimum-degree v,
     which is never the recurrence's maximum-degree pivot, on relabelled
     random cacti of order 24..64."""
-    g = _seeded_cactus(seed)
+    g = seeded_cactus(seed)
     whole = _deleted(g, ())
     low = min(g.degree(v) for v in range(g.n))
     assert low < max(g.degree(v) for v in range(g.n))
@@ -152,11 +145,28 @@ def test_vertex_recurrence_on_large_cacti(seed):
 @pytest.mark.parametrize("seed", range(6, 10))
 def test_derivative_identity_on_large_cacti(seed):
     """m'(G, x) = sum_v m(G - v, x) on relabelled random cacti of order 24..64."""
-    g = _seeded_cactus(seed)
+    g = seeded_cactus(seed)
     total = IntPolynomial.zero()
     for v in range(g.n):
         total = total + _deleted(g, (v,))
     assert _deleted(g, ()).derivative() == total
+
+
+@pytest.mark.parametrize("seed", range(10, 14))
+def test_edge_recurrence_on_large_cacti(seed):
+    """m(G) = m(G - e) - m(G - u - v) at every edge e = uv with neither end
+    of maximum degree, so neither is the recurrence's pivot, on relabelled
+    random cacti of order 24..64."""
+    g = seeded_cactus(seed)
+    whole = _deleted(g, ())
+    top = max(g.degree(v) for v in range(g.n))
+    checked = 0
+    for u, v in g.edge_list():
+        if max(g.degree(u), g.degree(v)) < top:
+            rest = Graph.from_edges(g.n, [e for e in g.edge_list() if e != (u, v)])
+            assert whole == _deleted(rest, ()) - _deleted(g, (u, v)), (u, v)
+            checked += 1
+    assert checked
 
 
 @given(graphs())

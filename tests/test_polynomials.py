@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oddcycle import IntPolynomial
-from oddcycle.roots import _squarefree_part
+from oddcycle.roots import _RootCounter
 
 from oracles import gcd_reference, odd_part_reference, squarefree_reference, sturm_chain_reference
 from strategies import from_roots, parity_points, parity_polys
@@ -91,8 +91,8 @@ def test_sign_at_ratio_on_the_parity_path(data):
 @given(parity_polys())
 def test_squarefree_part_on_the_parity_path(poly):
     want = squarefree_reference(poly.p)
-    assert _squarefree_part(poly.p).coeffs == want.coeffs
-    assert _squarefree_part(-poly.p).coeffs == want.coeffs
+    assert _RootCounter(poly.p).squarefree_part().coeffs == want.coeffs
+    assert _RootCounter(-poly.p).squarefree_part().coeffs == want.coeffs
 
 
 @given(nonzero_polys)
@@ -179,7 +179,7 @@ def test_squarefree_part_from_known_factorization(roots, mults, scale):
     for r, e in zip(roots, mults):
         p = p * from_roots([r] * e)
     p = scale * p
-    assert _squarefree_part(p) == from_roots(sorted(set(roots)))
+    assert _RootCounter(p).squarefree_part() == from_roots(sorted(set(roots)))
     # the multiplicity of r is the sum of the e drawn with it
     mult = {}
     for r, e in zip(roots, mults):

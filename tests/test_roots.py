@@ -31,10 +31,11 @@ from oracles import (
     gcd_reference,
     max_real_root_reference,
     refined_reference,
+    sign_reference,
     squarefree_reference,
     sturm_root_count,
 )
-from strategies import from_roots, graphs, parity_points, parity_polys, rationals
+from strategies import from_roots, graphs, parity_points, parity_polys, rationals, seeded_cactus
 
 
 X2_MINUS_2 = IntPolynomial.from_coeffs([-2, 0, 1])
@@ -44,6 +45,9 @@ X2_MINUS_5 = IntPolynomial.from_coeffs([-5, 0, 1])
 # overlap in (3/2, 8/5), where neither root lies
 SQRT2_OF_BOTH = AlgebraicRoot(X2_MINUS_2 * X2_MINUS_3, Fraction(1), Fraction(8, 5))
 SQRT3_OF_BOTH = AlgebraicRoot(X2_MINUS_2 * X2_MINUS_3, Fraction(3, 2), Fraction(2))
+# sqrt(2) and sqrt(3) on either side of 3/2
+SQRT2_LOW = AlgebraicRoot(X2_MINUS_2, Fraction(1), Fraction(3, 2))
+SQRT3_HIGH = AlgebraicRoot(X2_MINUS_3, Fraction(3, 2), Fraction(2))
 
 
 def algebraic_poly(roots, k) -> IntPolynomial:
@@ -102,7 +106,7 @@ def test_refinement_keeps_the_root():
     assert tight.width <= Fraction(1, 10**12)
     # the interval still brackets the sign change of x^2 - 2
     assert X2_MINUS_2.sign_at(tight.lo) < 0 < X2_MINUS_2.sign_at(tight.hi)
-    half = root.halved()
+    half = root.refined(root.width / 2)
     assert half.width <= root.width / 2
     assert half.compare_to_rational(1) == GT
 
@@ -160,22 +164,58 @@ def test_compare_roots():
     assert compare_roots(sqrt2, SQRT2_OF_BOTH) == compare_roots(SQRT2_OF_BOTH, sqrt2) == EQ
 
 
-def test_shared_roots_and_root_order_build_no_root_counter(monkeypatch):
+def test_root_questions_build_no_root_counter_and_narrow_no_interval(monkeypatch):
     sqrt2 = max_real_root(X2_MINUS_2)
+    wide = {
+        name: AlgebraicRoot(poly, Fraction(1), Fraction(2))
+        for name, poly in (
+            ("sqrt2", X2_MINUS_2),
+            ("sqrt3", X2_MINUS_3),
+            ("cbrt2", IntPolynomial.from_coeffs([-2, 0, 0, 1])),
+            ("sqrt2 of (x^2 - 2)(x - 3)", X2_MINUS_2 * from_roots([3])),
+        )
+    }
 
-    def unreachable(q):
-        raise AssertionError("_RootCounter built")
+    def unreachable(*args):
+        raise AssertionError("_RootCounter built or an interval narrowed")
 
     monkeypatch.setattr(roots_module, "_RootCounter", unreachable)
+    monkeypatch.setattr(AlgebraicRoot, "refined", unreachable)
+    # on the root: one GCD sign test
     assert sqrt2.sign_of(X2_MINUS_2 * from_roots([5])) == 0
     assert SQRT3_OF_BOTH.sign_of(X2_MINUS_3 * X2_MINUS_5) == 0
+    # off the root: one Sturm-Tarski count
+    assert sqrt2.sign_of(from_roots([1])) == 1
+    assert sqrt2.sign_of(X2_MINUS_3) == -1
+    assert sqrt2.sign_of(IntPolynomial.from_coeffs([-4])) == -1
+    assert SQRT2_OF_BOTH.sign_of(X2_MINUS_3) == -1
     assert compare_roots(SQRT2_OF_BOTH, SQRT3_OF_BOTH) == LT
     assert compare_roots(sqrt2, SQRT2_OF_BOTH) == EQ
-    # different polynomials on one interval: halved apart
-    assert compare_roots(
-        AlgebraicRoot(X2_MINUS_2, Fraction(1), Fraction(2)),
-        AlgebraicRoot(X2_MINUS_3, Fraction(1), Fraction(2)),
-    ) == LT
+    # different polynomials on overlapping intervals: placed against the
+    # other interval's ends, or inside it by the sign of its polynomial
+    assert compare_roots(wide["sqrt2"], wide["sqrt3"]) == LT
+    assert compare_roots(wide["sqrt3"], wide["sqrt2"]) == GT
+    assert compare_roots(wide["cbrt2"], wide["sqrt2"]) == LT
+    assert compare_roots(wide["sqrt2"], wide["cbrt2"]) == GT
+    assert compare_roots(wide["sqrt2"], wide["sqrt2 of (x^2 - 2)(x - 3)"]) == EQ
+    assert compare_roots(wide["sqrt2 of (x^2 - 2)(x - 3)"], wide["sqrt2"]) == EQ
+    assert compare_roots(wide["sqrt2"], SQRT3_HIGH) == LT
+    assert compare_roots(SQRT3_HIGH, wide["sqrt2"]) == GT
+    assert compare_roots(wide["sqrt3"], SQRT2_LOW) == GT
+    assert compare_roots(SQRT2_LOW, wide["sqrt3"]) == LT
+
+
+def test_compare_roots_settles_a_root_on_the_other_end_without_a_sign_test(monkeypatch):
+    three_halves_poly = from_roots([1]) * IntPolynomial.from_coeffs([-3, 2])
+    three_halves = AlgebraicRoot(three_halves_poly, Fraction(5, 4), Fraction(2))
+
+    def unreachable(self, q):
+        raise AssertionError("sign_of called")
+
+    monkeypatch.setattr(AlgebraicRoot, "sign_of", unreachable)
+    # 3/2 is SQRT3_HIGH.lo and SQRT2_LOW.hi
+    assert compare_roots(three_halves, SQRT3_HIGH) == LT
+    assert compare_roots(three_halves, SQRT2_LOW) == GT
 
 
 def test_compare_roots_takes_the_gcd_only_once_the_intervals_overlap(monkeypatch):
@@ -247,6 +287,26 @@ def test_root_order_on_overlapping_intervals_matches_integer_arithmetic():
         for b in NON_SQUARES:
             q = IntPolynomial.from_coeffs([0, 0, -b, 0, 1])
             assert r.sign_of(q) == (a > b) - (a < b)
+
+
+constant_polys = st.integers(-5, 5).map(lambda c: IntPolynomial.from_coeffs([c]))
+parity_ps = parity_polys().map(lambda poly: poly.p)
+
+
+@given(
+    random_polys | algebraic_polys | parity_ps,
+    random_polys | parity_ps | constant_polys | st.just(IntPolynomial.zero()),
+    st.booleans(),
+)
+def test_sign_of_matches_the_fraction_oracle(p, q, times_p):
+    try:
+        root = max_real_root(p)
+    except ValueError:
+        return
+    # times p, so that q vanishes at the root, as often to a higher order
+    if times_p:
+        q = q * p
+    assert root.sign_of(q) == sign_reference(root.poly, root.lo, root.hi, q)
 
 
 def test_compare_max_root_tries_descartes_first(cold_memos, monkeypatch):
@@ -475,6 +535,57 @@ def test_decimal_str_is_correctly_rounded_near_boundaries():
     assert max_real_root(IntPolynomial.from_coeffs([-3, 2])).decimal_str(0) == "2"
     assert max_real_root(IntPolynomial.from_coeffs([3, 2])).decimal_str(0) == "-2"
     assert max_real_root(IntPolynomial.from_coeffs([-3, 2])).decimal_str(1) == "1.5"
+
+
+def rounded_reference(x: Fraction, digits: int) -> str:
+    """x to ``digits`` places, ties rounded away from zero, in Fraction
+    arithmetic; a value that rounds to 0 prints without a sign."""
+    scale = 10**digits
+    n = int(abs(x) * scale + Fraction(1, 2))
+    whole, frac = divmod(n, scale)
+    sign = "-" if x < 0 and n else ""
+    return sign + str(whole) + (f".{frac:0{digits}d}" if digits else "")
+
+
+def test_decimal_str_rounds_ties_away_from_zero():
+    # every num/den in [-3, 3] on a rounding boundary at 0..4 digits, and
+    # every one in (-1/2 * 10^-digits, 0), as the root of den x - num and
+    # of (den x - num)(x^2 + 1)
+    checked = 0
+    for den in (1, 2, 4, 8, 20, 200):
+        for num in range(-3 * den, 3 * den + 1):
+            x = Fraction(num, den)
+            for digits in range(5):
+                scaled = 2 * x * 10**digits
+                on_boundary = scaled.denominator == 1 and scaled.numerator % 2 == 1
+                if not (on_boundary or -1 < scaled < 0):
+                    continue
+                linear = IntPolynomial.from_coeffs([-x.numerator, x.denominator])
+                for p in (linear, linear * IntPolynomial.from_coeffs([1, 0, 1])):
+                    assert max_real_root(p).decimal_str(digits) == rounded_reference(x, digits)
+                checked += 1
+    assert checked == 919
+
+
+@pytest.mark.parametrize("seed", [24, 33, 34, 36, 37, 38])
+def test_interlacing_and_heilmann_lieb_on_large_cacti(seed):
+    """t(G - v) < t(G) at every v, by root interlacing on a connected G, and
+    t(G) < 2 sqrt(max degree - 1) (Heilmann and Lieb), on relabelled random
+    cacti of order 24..64.  These seeds put roots of degree up to 64 on
+    overlapping intervals before compare_roots."""
+    g = seeded_cactus(seed)
+    t = max_matching_root(g)
+    overlaps = 0
+    for v in range(g.n):
+        sub, _ = g.induced(w for w in range(g.n) if w != v)
+        deleted = max_matching_root(sub)
+        overlaps += deleted.hi > t.lo
+        assert compare_roots(deleted, t) == LT, v
+        assert compare_roots(t, deleted) == GT, v
+    assert overlaps
+    top = max(g.degree(v) for v in range(g.n))
+    bound = max_real_root(IntPolynomial.from_coeffs([-4 * (top - 1), 0, 1]))
+    assert compare_roots(t, bound) == LT
 
 
 def test_max_matching_root_of_graphs():
