@@ -53,7 +53,9 @@ from .kelmans import (
 )
 from .matching import matching_polynomial, matching_profile, polynomial_from_profile
 from .polynomials import IntPolynomial
-from .roots import EQ, GT, AlgebraicRoot, compare_roots, max_matching_root, max_real_root
+from .roots import (
+    EQ, GT, AlgebraicRoot, compare_max_root, compare_roots, max_matching_root, max_real_root
+)
 from .skew import (
     Orientation,
     _alternating_form,
@@ -302,14 +304,17 @@ def _report(claim: str, universe: str, checked: int, bad, witnesses, t0: float):
 
 
 def _running_best(pairs):
-    """(best root, keys) over (root, keys) pairs: the keys of every pair
-    whose root equals the largest, in order of appearance."""
+    """(best root, keys) over (polynomial, keys) pairs: the largest root and
+    the keys of every pair whose largest root equals it, in order.  After
+    the first, each polynomial is placed by compare_max_root, whose Descartes
+    test drops most without an isolation; one found above was just
+    isolated, so max_real_root returns its root from the memo."""
     best_root: AlgebraicRoot | None = None
     best: list = []
-    for root, keys in pairs:
-        cmp = GT if best_root is None else compare_roots(root, best_root)
+    for poly, keys in pairs:
+        cmp = GT if best_root is None else compare_max_root(poly, best_root)
         if cmp == GT:
-            best_root, best = root, list(keys)
+            best_root, best = max_real_root(poly), list(keys)
         elif cmp == EQ:
             best.extend(keys)
     assert best_root is not None
@@ -317,10 +322,11 @@ def _running_best(pairs):
 
 
 def _profile_champions(n: int, groups: dict[tuple[int, ...], list]):
-    """Exact max-root winners among profile groups: (root, [profiles])."""
-    return _running_best(
-        (max_real_root(polynomial_from_profile(prof, n)), [prof]) for prof in sorted(groups)
-    )
+    """Exact max-root winners among profile groups, (root, [profiles]): a
+    running best over the sorted profiles, which isolates a profile's root
+    only when it is first or Descartes' rule cannot place it below the best
+    so far.  The root is the first winner's own max_real_root."""
+    return _running_best((polynomial_from_profile(prof, n), [prof]) for prof in sorted(groups))
 
 
 @dataclass(frozen=True)
@@ -339,7 +345,8 @@ def _order_census(n: int) -> Mapping[int, _SizeCensus]:
     process and shared by the classification and conjecture sweeps.
 
     Each class counts its labeled copies, so the totals equal a sweep over
-    every labeled edge subset.
+    every labeled edge subset.  Up to n = 10 the first sorted profile of
+    each size wins, so the census isolates one root per size.
     """
     census: dict[int, dict[tuple[int, ...], list]] = {m: {} for m in range(1, edge_cap(n) + 1)}
     for g, copies in _odd_cycle_classes(n):
@@ -439,7 +446,8 @@ def verify_conjecture(n: int) -> VerificationReport:
     # 1 for the edgeless graph, whose maximum root is 0
     checked = 1 + sum(entry[0] for size in census.values() for entry in size.groups.values())
     best_root, winners = _running_best(
-        (size.root, [(m, p) for p in size.champions]) for m, size in census.items()
+        (polynomial_from_profile(size.champions[0], n), [(m, p) for p in size.champions])
+        for m, size in census.items()
     )
     [(h, h_copies)], _ = _claimed_maximizers(n, edge_cap(n))
     h_prof = matching_profile(h)

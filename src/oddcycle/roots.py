@@ -51,11 +51,13 @@ from .graphs import Graph
 from .matching import matching_polynomial
 from .polynomials import IntPolynomial
 
-# Width of the interval max_real_root hands out.  None of the 515 root
+# Width of the interval max_real_root hands out.  None of the 408 root
 # comparisons in a seeded repetition of the benchmark workloads then
-# overlaps.  With bare isolating intervals 113 of census's 131 and 170 of
-# shifts' 181 overlap and pay a sign_of, and a repetition ran 18 % and 11 %
-# slower (medians of 30 alternating pairs, 2-vCPU Xeon, Python 3.11).
+# overlaps.  With bare isolating intervals all 99 of census's and 170 of
+# shifts' 181 overlap and pay a sign_of, census's Descartes tests, from a
+# lower end further down, isolate 105 roots instead of 30, and a repetition
+# ran 84 % and 11 % slower (medians of 30 alternating pairs, 2-vCPU Xeon,
+# Python 3.11).
 _WIDTH = Fraction(1, 2**16)
 
 LT, EQ, GT = -1, 0, 1
@@ -65,9 +67,10 @@ class NoRealRootError(ValueError):
     """Raised when a polynomial has no real root to isolate."""
 
 
-# Keyed by Q1, its hits are polynomials that differ by a power of x: 56,
+# Keyed by Q1, its hits are polynomials that differ by a power of x: 16,
 # 14, 26 and 0 in a seeded repetition of census, orientations, shifts and
-# queries.  Rebuilding census's 56 takes about 1 ms of its 30-40 ms.
+# queries.  Rebuilding them takes about 0.2 ms of census's 25-30 ms and
+# 0.8 ms of shifts' 90-150 ms.
 @lru_cache(maxsize=4096)
 def _sturm_chain(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
     f = IntPolynomial(coeffs)

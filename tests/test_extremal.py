@@ -34,6 +34,7 @@ from oddcycle import (
     max_real_root,
     merge_reports,
     parse_graph6,
+    polynomial_from_profile,
     skew_spectral_radius,
     star_graph,
     switching_representatives,
@@ -48,9 +49,9 @@ from oddcycle import (
 )
 
 import oddcycle
-from oddcycle import extremal, graphs, reduce_to_F
+from oddcycle import extremal, graphs, reduce_to_F, roots
 from oddcycle.extremal import STRUCTURED_MAX_N, _odd_cycle_classes
-from oddcycle.roots import LT
+from oddcycle.roots import GT, LT, _variations_past
 from oddcycle.kelmans import _is_star_plus_matching
 from oracles import (
     automorphism_count,
@@ -229,18 +230,48 @@ def test_order_census_is_built_once_and_read_only(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_conjecture_reuses_the_classification_census(n, monkeypatch):
+def test_conjecture_reuses_the_classification_census(n, cold_memos):
+    # conjecture folds the champions' own polynomials, which the census has
+    # isolated, so max_real_root answers every one from its memo
+    extremal._order_census.cache_clear()
     assert verify_classification(n).passed
-    calls = []
-    isolate = extremal.max_real_root
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return isolate(*args, **kwargs)
-
-    monkeypatch.setattr(extremal, "max_real_root", counting)
+    misses = max_real_root.cache_info().misses
     assert verify_conjecture(n).passed
-    assert calls == []
+    assert max_real_root.cache_info().misses == misses
+
+
+def _exhaustive_champions(n, groups):
+    """The census's (root, champions) without pruning: every profile's root
+    isolated and folded by compare_roots, keeping every tie in order."""
+    best, champions = None, []
+    for prof in sorted(groups):
+        root = max_real_root(polynomial_from_profile(prof, n))
+        cmp = GT if best is None else compare_roots(root, best)
+        if cmp == GT:
+            best, champions = root, [prof]
+        elif cmp == EQ:
+            champions.append(prof)
+    return best, tuple(champions)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pruned_census_equals_the_exhaustive_one(n):
+    for m, size in extremal._order_census(n).items():
+        ref_root, ref_champions = _exhaustive_champions(n, size.groups)
+        assert size.champions == ref_champions, (n, m)
+        assert compare_roots(size.root, ref_root) == EQ, (n, m)
+        # the first champion's own root: same polynomial, same interval
+        assert size.root == ref_root, (n, m)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_order_census_isolates_one_root_per_size(n):
+    # the isolation happens inside roots.compare_max_root, so count the
+    # memo's misses rather than the calls through extremal
+    for memo in (max_real_root, roots._sturm_chain, extremal._order_census, extremal._classes):
+        memo.cache_clear()
+    extremal._order_census(n)
+    assert max_real_root.cache_info().misses == edge_cap(n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -326,10 +357,43 @@ def test_verify_classification_reports_the_tie():
 
 def test_running_best_keeps_every_key_of_a_tie_in_order():
     # a claim that fails by a tie between groups rests on this branch
-    one, two, three = (max_real_root(IntPolynomial.from_coeffs([-k, 1])) for k in (1, 2, 3))
-    three_again = max_real_root(IntPolynomial.from_coeffs([-9, 0, 1]))
+    one, two, three = (IntPolynomial.from_coeffs([-k, 1]) for k in (1, 2, 3))
+    three_again = IntPolynomial.from_coeffs([-9, 0, 1])
     pairs = [(two, "a"), (three, "bc"), (one, "d"), (three_again, "e"), (three, "f")]
-    assert extremal._running_best(pairs) == (three, ["b", "c", "e", "f"])
+    assert extremal._running_best(pairs) == (max_real_root(three), ["b", "c", "e", "f"])
+
+
+def _linear(c):
+    """den * x - num, whose one root is the rational c."""
+    return IntPolynomial.from_coeffs([-c.numerator, c.denominator])
+
+
+def test_running_best_decides_roots_inside_the_best_interval():
+    x2_minus_2 = IntPolynomial.from_coeffs([-2, 0, 1])
+    sqrt2 = max_real_root(x2_minus_2)
+    grid = [sqrt2.lo + k * sqrt2.width / 64 for k in range(1, 64)]
+    below = max(c for c in grid if c * c < 2)
+    above = min(c for c in grid if c * c > 2)
+    # (x - c)(x + 3) has exactly one root past sqrt2.lo, so Descartes' count
+    # there is 1 and proves nothing: the order comes from an isolation
+    x_plus_3 = IntPolynomial.from_coeffs([3, 1])
+    p_below, p_above = _linear(below) * x_plus_3, _linear(above) * x_plus_3
+    assert _variations_past(p_below, sqrt2.lo) == _variations_past(p_above, sqrt2.lo) == 1
+    # a different polynomial with the same largest root ties, kept in order
+    same = IntPolynomial.from_coeffs([2, 0, -3, 0, 1])  # (x^2 - 1)(x^2 - 2)
+    pairs = [(x2_minus_2, "a"), (p_below, "b"), (same, "c"), (x2_minus_2 * x_plus_3, "d")]
+    assert extremal._running_best(pairs) == (sqrt2, ["a", "c", "d"])
+    # a root in (sqrt2, sqrt2.hi) wins and drops the old best's keys
+    best, keys = extremal._running_best([(x2_minus_2, "a"), (same, "b"), (p_above, "c")])
+    assert (best, keys) == (max_real_root(p_above), ["c"])
+    assert best.compare_to_rational(above) == EQ
+
+
+def test_running_best_finds_a_champion_after_the_first_pair():
+    one, two = (IntPolynomial.from_coeffs([-k, 1]) for k in (1, 2))
+    x2_minus_1, x2_minus_4 = (IntPolynomial.from_coeffs([-k, 0, 1]) for k in (1, 4))
+    pairs = [(one, "a"), (x2_minus_1, "b"), (two, "c"), (one, "d"), (x2_minus_4, "e")]
+    assert extremal._running_best(pairs) == (max_real_root(two), ["c", "e"])
 
 
 def test_verify_conjecture_small():
