@@ -31,7 +31,7 @@ from .graphs import (
     Graph,
     GraphTooLargeError,
     _color_classes,
-    _component_mask,
+    _components,
     _refine,
     _search_mappings,
     complete_graph,
@@ -176,7 +176,7 @@ def _end_count(g: Graph) -> int:
     none, the vertices whose deletion leaves it connected."""
     rest = [(1 << g.n) - 1 ^ 1 << v for v in range(g.n)]
     return (sum(row.bit_count() == 1 for row in g.adj)
-            or sum(_component_mask(g.adj, (v + 1) % g.n, rest[v]) == rest[v] for v in range(g.n)))
+            or sum(_components(g.adj, r) == [r] for r in rest))
 
 
 def _one_per_class(candidates) -> list[list]:
@@ -321,14 +321,6 @@ def _running_best(pairs):
     return best_root, best
 
 
-def _profile_champions(n: int, groups: dict[tuple[int, ...], list]):
-    """Exact max-root winners among profile groups, (root, [profiles]): a
-    running best over the sorted profiles, which isolates a profile's root
-    only when it is first or Descartes' rule cannot place it below the best
-    so far.  The root is the first winner's own max_real_root."""
-    return _running_best((polynomial_from_profile(prof, n), [prof]) for prof in sorted(groups))
-
-
 @dataclass(frozen=True)
 class _SizeCensus:
     """The odd-cycle graphs of one order and size, grouped by matching
@@ -358,7 +350,10 @@ def _order_census(n: int) -> Mapping[int, _SizeCensus]:
         entry[1] = min(entry[1], g6)
     out = {}
     for m, groups in census.items():
-        root, champs = _profile_champions(n, groups)
+        # a running best over the sorted profiles isolates a profile's root
+        # only when it is first or Descartes' rule cannot place it below the
+        # best so far; the root is the first winner's own max_real_root
+        root, champs = _running_best((polynomial_from_profile(prof, n), [prof]) for prof in sorted(groups))
         frozen = MappingProxyType({prof: tuple(entry) for prof, entry in groups.items()})
         out[m] = _SizeCensus(frozen, root, tuple(champs))
     return MappingProxyType(out)

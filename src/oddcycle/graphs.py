@@ -265,21 +265,27 @@ def parse_edge_list(text: str) -> Graph:
 # ------------------------------------------------------------- connectivity
 
 
-def _component_mask(adj, start: int, within: int) -> int:
-    comp = 1 << start
-    frontier = comp
-    while frontier:
-        grow = 0
-        for v in iter_bits(frontier):
-            grow |= adj[v]
-        grow &= within & ~comp
-        comp |= grow
-        frontier = grow
-    return comp
+def _components(adj, mask: int) -> list[int]:
+    """Every component of the vertex set mask, in one walk: each grows from
+    its lowest vertex, one neighbourhood layer at a time, inside mask."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            grow = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                grow |= adj[b.bit_length() - 1]
+            frontier = grow & mask & ~comp
+            comp |= frontier
+        mask ^= comp
+        comps.append(comp)
+    return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return _component_mask(g.adj, 0, (1 << g.n) - 1) == (1 << g.n) - 1
+    return _components(g.adj, (1 << g.n) - 1) == [(1 << g.n) - 1]
 
 
 # -------------------------------------------------------------- cycle shape

@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from math import comb
 
-from .graphs import Graph
+from .graphs import Graph, _components
 from .polynomials import IntPolynomial
 
 
@@ -52,23 +52,6 @@ def matching_profile(g: Graph) -> tuple[int, ...]:
     width = _field_width(n)
     memo: dict[int, int] = {}
 
-    def components(mask: int) -> list[int]:
-        # every component of mask, in one walk
-        comps = []
-        while mask:
-            comp = frontier = mask & -mask
-            while frontier:
-                grow = 0
-                while frontier:
-                    b = frontier & -frontier
-                    frontier ^= b
-                    grow |= adj[b.bit_length() - 1]
-                frontier = grow & mask & ~comp
-                comp |= frontier
-            mask ^= comp
-            comps.append(comp)
-        return comps
-
     def whole(mask: int) -> int:
         # product rule over the components; a singleton counts as 1.  The
         # memo holds connected masks only, so a hit skips the walk
@@ -76,7 +59,7 @@ def matching_profile(g: Graph) -> tuple[int, ...]:
         if hit is not None:
             return hit
         value = 1
-        for comp in components(mask):
+        for comp in _components(adj, mask):
             if comp & (comp - 1):
                 value *= connected(comp)
         return value
@@ -99,36 +82,27 @@ def matching_profile(g: Graph) -> tuple[int, ...]:
                 best, best_deg = v, d
         rest = mask ^ (1 << best)
         nbrs = adj[best] & mask
-        comps = components(rest)
-        if len(comps) == 1:
-            # rest is connected: no products to assemble
-            prod = connected(rest) if rest & (rest - 1) else 1
-            terms = 0
-            while nbrs:
-                b = nbrs & -nbrs
-                nbrs ^= b
-                terms += whole(rest ^ b)
-        else:
-            # m(rest) = prod_j P_j, and a neighbour v in C_i leaves C_i - v
-            # beside the other components: the neighbour sum is
-            # sum_i (prod_{j != i} P_j) * S_i, built like a product's derivative
-            prod = 1
-            terms = 0
-            for comp in comps:
-                if comp & (comp - 1):
-                    value = connected(comp)
-                    s = 0
-                    near = nbrs & comp
-                    while near:
-                        b = near & -near
-                        near ^= b
-                        s += whole(comp ^ b)
-                    terms = terms * value + prod * s
-                    prod *= value
-                else:
-                    # a neighbour v with no other edge: m(rest - v) = m(rest),
-                    # whose later factors the loop multiplies in
-                    terms += prod
+        # m(rest) = prod_j P_j, and a neighbour v in C_i leaves C_i - v
+        # beside the other components: the neighbour sum is
+        # sum_i (prod_{j != i} P_j) * S_i, built like a product's derivative,
+        # which is S_1 alone when rest is connected
+        prod = 1
+        terms = 0
+        for comp in _components(adj, rest):
+            if comp & (comp - 1):
+                value = connected(comp)
+                s = 0
+                near = nbrs & comp
+                while near:
+                    b = near & -near
+                    near ^= b
+                    s += whole(comp ^ b)
+                terms = terms * value + prod * s
+                prod *= value
+            else:
+                # a neighbour v with no other edge: m(rest - v) = m(rest),
+                # whose later factors the loop multiplies in
+                terms += prod
         result = prod + (terms << width)
         memo[mask] = result
         return result

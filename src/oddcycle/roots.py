@@ -67,16 +67,6 @@ class NoRealRootError(ValueError):
     """Raised when a polynomial has no real root to isolate."""
 
 
-# Keyed by Q1, its hits are polynomials that differ by a power of x: 16,
-# 14, 26 and 0 in a seeded repetition of census, orientations, shifts and
-# queries.  Rebuilding them takes about 0.2 ms of census's 25-30 ms and
-# 0.8 ms of shifts' 90-150 ms.
-@lru_cache(maxsize=4096)
-def _sturm_chain(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
-    f = IntPolynomial(coeffs)
-    return f.remainder_sequence(f.derivative())
-
-
 def _variations(chain, num: int, den: int) -> int:
     """Sign variations of the chain at num/den; (1, 0) means +infinity."""
     count = 0
@@ -115,7 +105,7 @@ class _RootCounter:
         self.square = split is not None
         k, q1 = split if self.square else (0, p)
         self.z = k > 0
-        self.chain = _sturm_chain(q1.coeffs)
+        self.chain = q1.remainder_sequence(q1.derivative())
         self.v_inf = _variations(self.chain, 1, 0)
         if self.square:
             self.v_zero = _variations(self.chain, 0, 1)
@@ -252,6 +242,10 @@ class AlgebraicRoot:
         it keeps every sign.  The zero q shares every root of poly.
         """
         lo, hi = self.lo, self.hi
+        # The count alone gives 0 on a shared root too; the GCD test is kept
+        # for speed: all 30 sign_of calls of classification and conjecture to
+        # n = 7 meet a shared root, and without it they took 17.2-17.4 ms, not
+        # 16.3-16.5 ms (min of 10 fresh interpreters x 4, 2 vCPU, Python 3.11).
         g = self.poly.gcd(q)
         if g.sign_at(lo) != g.sign_at(hi):
             return 0

@@ -2,8 +2,9 @@
 
 Everything here deliberately uses different machinery from the library:
 direct bit-string assembly for graph6, simple-path enumeration for cycles,
-union-find for component counts, a Tarjan biconnected-block walk for the
-cycle shape of larger graphs,
+union-find for component counts, depth-first search over adjacency lists
+for components, a Tarjan biconnected-block walk for the cycle shape of
+larger graphs,
 Laplace expansion for characteristic polynomials, frozenset bookkeeping for
 matching counts, numpy subset tests for the bulk matching census,
 edge-subset combinations filtered by the odd, edge-disjoint fundamental
@@ -116,6 +117,31 @@ def component_count(n: int, edges) -> int:
     for u, v in edges:
         parent[find(u)] = find(v)
     return len({find(v) for v in range(n)})
+
+
+def components_reference(n: int, edges, mask: int) -> set[frozenset[int]]:
+    """The vertex sets of the components of the subgraph induced on mask,
+    by depth-first search over adjacency lists."""
+    inside = [v for v in range(n) if mask >> v & 1]
+    nbrs: dict[int, list[int]] = {v: [] for v in inside}
+    for u, v in edges:
+        if u in nbrs and v in nbrs:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    seen: set[int] = set()
+    comps = set()
+    for start in inside:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.add(frozenset(comp))
+    return comps
 
 
 def has_even_cycle(n: int, edges) -> bool:

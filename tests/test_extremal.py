@@ -49,7 +49,7 @@ from oddcycle import (
 )
 
 import oddcycle
-from oddcycle import extremal, graphs, reduce_to_F, roots
+from oddcycle import extremal, graphs, reduce_to_F
 from oddcycle.extremal import STRUCTURED_MAX_N, _odd_cycle_classes
 from oddcycle.roots import GT, LT, _variations_past
 from oddcycle.kelmans import _is_star_plus_matching
@@ -265,13 +265,17 @@ def test_pruned_census_equals_the_exhaustive_one(n):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_order_census_isolates_one_root_per_size(n):
+def test_order_census_isolates_one_root_per_size(n, remainder_sequences):
     # the isolation happens inside roots.compare_max_root, so count the
     # memo's misses rather than the calls through extremal
-    for memo in (max_real_root, roots._sturm_chain, extremal._order_census, extremal._classes):
+    for memo in (max_real_root, extremal._order_census, extremal._classes):
         memo.cache_clear()
     extremal._order_census(n)
     assert max_real_root.cache_info().misses == edge_cap(n)
+    # each isolation builds one Sturm chain, and no root is compared, so
+    # neither gcd nor sign_of runs
+    assert len(remainder_sequences) == edge_cap(n)
+    assert all(other == f.derivative() for f, other in remainder_sequences)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

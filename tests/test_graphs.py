@@ -1,4 +1,6 @@
 import pickle
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +24,14 @@ from oddcycle import (
     star_graph,
     write_graph6,
 )
-from oddcycle.graphs import _color_classes, _refine, _search_mappings
+from oddcycle.graphs import _color_classes, _components, _refine, _search_mappings, iter_bits
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
 from oracles import (
     automorphism_count,
     component_count,
+    components_reference,
     graph6_reference,
     has_even_cycle,
     labeled_graphs,
@@ -212,6 +215,38 @@ def test_components():
     assert not is_connected(g)
     assert is_connected(BOWTIE)
     assert is_connected(Graph.empty(1))
+
+
+def _check_components(g, mask):
+    got = _components(g.adj, mask)
+    # the pieces partition mask
+    assert sum(c.bit_count() for c in got) == mask.bit_count()
+    assert sum(got) == mask
+    # each is connected, and no two are adjacent
+    for c in got:
+        assert len(components_reference(g.n, g.edge_list(), c)) == 1
+    for a, b in combinations(got, 2):
+        assert not any(g.adj[v] & b for v in iter_bits(a))
+    assert {frozenset(iter_bits(c)) for c in got} == components_reference(g.n, g.edge_list(), mask)
+
+
+@given(graphs(max_n=12), st.data())
+def test_components_split_a_mask_into_connected_pieces(g, data):
+    full = (1 << g.n) - 1
+    isolated = sum(1 << v for v in range(g.n) if not g.adj[v])
+    for mask in (0, full, isolated, data.draw(st.integers(0, full))):
+        _check_components(g, mask)
+
+
+@pytest.mark.parametrize("density", [0.1, 0.2, 0.35])
+def test_components_of_sparse_graphs(density):
+    # uniform edge masks at order 12 are mostly connected; sparse ones split
+    rng = random.Random(int(100 * density))
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+        for mask in (0, (1 << n) - 1, rng.getrandbits(n)):
+            _check_components(g, mask)
 
 
 # ------------------------------------------------- the block walk oracle

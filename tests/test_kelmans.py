@@ -385,7 +385,7 @@ def test_dominance_matches_the_fraction_oracle_on_every_small_pair(universe, cou
             assert len(calls) == 0
 
 
-def test_one_query_expands_each_graph_once(cold_memos, monkeypatch):
+def test_one_query_expands_each_graph_once(cold_memos, remainder_sequences, monkeypatch):
     profiled = []
     profile = matching.matching_profile
     monkeypatch.setattr(matching, "matching_profile", lambda g: profiled.append(g) or profile(g))
@@ -395,9 +395,11 @@ def test_one_query_expands_each_graph_once(cold_memos, monkeypatch):
     t_f = max_matching_root(make_F(CACTUS.n, CACTUS.m))
     assert profiled == [CACTUS, make_F(CACTUS.n, CACTUS.m)]
     assert max_real_root.cache_info().misses == 2
-    # one chain each for the Q1 of m(G) and of m(F); Descartes' rule settles
-    # the strict case, so d gets none
-    assert roots._sturm_chain.cache_info().misses == 2
+    # the two isolations build one Sturm chain each, for the Q1 of m(G) and
+    # of m(F); Descartes' rule settles the strict case, so d gets none, and
+    # nothing calls gcd or sign_of
+    q1s = [matching_polynomial(g).parity_split[1] for g in (CACTUS, make_F(CACTUS.n, CACTUS.m))]
+    assert remainder_sequences == [(q1, q1.derivative()) for q1 in q1s]
     assert compare_roots(t_f, t_g) == GT
 
 

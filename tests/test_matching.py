@@ -267,7 +267,9 @@ def package_memos() -> dict:
 def test_memos_are_bounded():
     # an unbounded memo would keep every graph of a large sweep alive
     memos = package_memos()
-    assert {"matching_polynomial", "max_real_root", "_sturm_chain"} <= memos.keys()
+    assert {"matching_polynomial", "max_real_root"} <= memos.keys()
+    # roots keeps one memo, of roots by polynomial
+    assert {name for name, memo in memos.items() if memo.__module__ == "oddcycle.roots"} == {"max_real_root"}
     assert "max_matching_root" not in memos
     assert ORDER_KEYED <= memos.keys()
     for name, memo in memos.items():

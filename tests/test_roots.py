@@ -614,14 +614,17 @@ def test_isolating_interval_invariants():
     assert sturm_root_count(root.poly, root.lo, root.hi) == 1
 
 
-def test_max_real_root_builds_one_remainder_sequence(cold_memos, monkeypatch):
+def test_max_real_root_builds_one_remainder_sequence(cold_memos, remainder_sequences, monkeypatch):
     def no_gcd(self, other):
         raise AssertionError("IntPolynomial.gcd called while isolating a root")
 
     monkeypatch.setattr(IntPolynomial, "gcd", no_gcd)
     # (x^2 - 2)^2 (x^2 - 3), a fresh single-parity polynomial
     max_real_root(X2_MINUS_2 * X2_MINUS_2 * X2_MINUS_3)
-    assert roots_module._sturm_chain.cache_info().misses == 1
+    # the Sturm chain of Q1 = (y - 2)^2 (y - 3), which also gives the
+    # squarefree part
+    q1 = (X2_MINUS_2 * X2_MINUS_2 * X2_MINUS_3).parity_split[1]
+    assert remainder_sequences == [(q1, q1.derivative())]
 
 
 @pytest.mark.parametrize(
@@ -676,20 +679,14 @@ def test_parity_root_counts(data):
     assert above(counter, lo) == poly.roots_in(lo, p.root_bound())
 
 
-def test_matching_roots_ask_for_chains_of_half_the_degree(cold_memos, monkeypatch):
+def test_matching_roots_ask_for_chains_of_half_the_degree(cold_memos, remainder_sequences):
     # thirteen triangles in a row, then a path: a cactus of order 40
     edges = [e for i in range(0, 26, 2) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))]
     edges += [(v, v + 1) for v in range(26, 39)]
     g = Graph.from_edges(40, edges)
     assert is_odd_cycle_graph(g)
     assert matching_polynomial(g).degree == 40
-    degrees = []
-    chain = roots_module._sturm_chain
-
-    def recording(coeffs):
-        degrees.append(len(coeffs) - 1)
-        return chain(coeffs)
-
-    monkeypatch.setattr(roots_module, "_sturm_chain", recording)
     max_matching_root(g).decimal_str(12)
+    # the isolation's one Sturm chain; refining and rounding take signs only
+    degrees = [f.degree for f, _ in remainder_sequences]
     assert degrees and max(degrees) <= 20
