@@ -40,7 +40,7 @@ from .graphs import (
     write_graph6,
 )
 from .kelmans import dominance, reduce_to_F
-from .matching import matching_polynomial, matching_profile
+from .matching import matching_polynomial, matching_profile, polynomial_from_profile
 from .roots import NoRealRootError, max_matching_root, max_real_root
 from .skew import Orientation, _alternating_form, all_orientations, skew_char_poly
 
@@ -121,7 +121,7 @@ def _cmd_poly(args) -> int:
     lines = []
     for g in _load_graphs(args.graph):
         profile = list(matching_profile(g))
-        poly = matching_polynomial(g)
+        poly = polynomial_from_profile(profile, g.n)
         results.append(
             {
                 "graph6": write_graph6(g),
@@ -143,17 +143,17 @@ def _cmd_maxroot(args) -> int:
     results = []
     lines = []
     for g in _load_graphs(args.graph):
-        root = max_matching_root(g)
-        refined = root.refined(Fraction(1, 10 ** (args.digits + 2)))
+        refined = max_matching_root(g).refined(Fraction(1, 10 ** (args.digits + 2)))
+        value = refined.decimal_str(args.digits)
         results.append(
             {
                 "graph6": write_graph6(g),
-                "value": root.decimal_str(args.digits),
+                "value": value,
                 "interval": [str(refined.lo), str(refined.hi)],
                 "polynomial": matching_polynomial(g).pretty(),
             }
         )
-        lines.append(f"{write_graph6(g)}  t = {root.decimal_str(args.digits)}")
+        lines.append(f"{write_graph6(g)}  t = {value}")
         lines.append(f"  certified in [{refined.lo}, {refined.hi}]")
     _emit({"schema": _SCHEMA, "command": "maxroot", "results": results}, lines, args.format, args.out)
     return 0
@@ -168,13 +168,13 @@ def _cmd_skew(args) -> int:
         else:
             orientations = [Orientation(g, args.mask)]
         entries = []
-        target = _alternating_form(matching_polynomial(g), g.n)
+        target = _alternating_form(matching_polynomial(g))
         radius_by_phi: dict[tuple[int, ...], str] = {}
         for o in orientations:
             phi = skew_char_poly(o)
             rho = radius_by_phi.get(phi.coeffs)
             if rho is None:
-                rho = max_real_root(_alternating_form(phi, g.n)).decimal_str(args.digits)
+                rho = max_real_root(_alternating_form(phi)).decimal_str(args.digits)
                 radius_by_phi[phi.coeffs] = rho
             entries.append(
                 {
@@ -262,7 +262,7 @@ def run_verification(suite: str, max_n: int | None, threads: int = 1) -> Verific
 
     Every suite runs in this process.  threads accepts only 1: the benchmark
     workloads in perfbench/workloads.py still pass threads=1, and the
-    keyword goes away once they stop (ROADMAP item 1).
+    keyword goes away once they stop (ROADMAP items 1b and 11).
     """
     if threads != 1:
         raise UsageError("every suite runs in one process; threads must be 1")

@@ -70,9 +70,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
     def edge_list(self) -> tuple[tuple[int, int], ...]:
         """All edges (u, v) with u < v, in lexicographic order."""
         return self._edges
@@ -103,19 +100,6 @@ class Graph:
                 row |= 1 << perm[w]
             rows[perm[old]] = row
         return Graph(self.n, tuple(rows))
-
-    def induced(self, vertices) -> tuple[Graph, tuple[int, ...]]:
-        """Induced subgraph on the given vertices; returns (graph, old labels)."""
-        keep = sorted(set(vertices))
-        if not keep:
-            raise ValueError("induced subgraph needs at least one vertex")
-        index = {v: i for i, v in enumerate(keep)}
-        edges = []
-        for u in keep:
-            for w in iter_bits(self.adj[u]):
-                if w > u and w in index:
-                    edges.append((index[u], index[w]))
-        return Graph.from_edges(len(keep), edges), tuple(keep)
 
 
 # ---------------------------------------------------------------- constructors

@@ -50,16 +50,8 @@ class IntPolynomial:
         return IntPolynomial(_normalize(tuple(int(c) for c in coeffs)))
 
     @staticmethod
-    def zero() -> IntPolynomial:
-        return IntPolynomial(())
-
-    @staticmethod
     def one() -> IntPolynomial:
         return IntPolynomial((1,))
-
-    @staticmethod
-    def x() -> IntPolynomial:
-        return IntPolynomial((0, 1))
 
     # ------------------------------------------------------------------ basics
 
@@ -115,25 +107,12 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def shifted(self, k: int) -> IntPolynomial:
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
-
     def derivative(self) -> IntPolynomial:
         return IntPolynomial(
             _normalize(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
         )
 
     # -------------------------------------------------------------- evaluation
-
-    def evaluate(self, value):
-        """Exact Horner evaluation at an int or Fraction."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
 
     def sign_at(self, value: Fraction | int) -> int:
         """Sign of the polynomial at a rational point, via integer arithmetic."""

@@ -204,10 +204,6 @@ class AlgebraicRoot:
     lo: Fraction
     hi: Fraction
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def refined(self, eps: Fraction | float) -> AlgebraicRoot:
         """Shrink the isolating interval to width <= eps (new object).
 
@@ -268,10 +264,6 @@ class AlgebraicRoot:
         if s == 0:
             return EQ
         return LT if s == self.poly.sign_at(self.hi) else GT
-
-    def to_float(self) -> float:
-        r = self.refined(Fraction(1, 2**60))
-        return float((r.lo + r.hi) / 2)
 
     def decimal_str(self, digits: int = 12) -> str:
         """Decimal expansion of the root, correctly rounded to ``digits`` places.

@@ -167,7 +167,7 @@ def skew_char_poly(o: Orientation) -> IntPolynomial:
     return IntPolynomial.from_coeffs(coeffs)
 
 
-def _alternating_form(phi: IntPolynomial, n: int) -> IntPolynomial:
+def _alternating_form(phi: IntPolynomial) -> IntPolynomial:
     """Rewrite sum_k a_2k x^(n-2k) as sum_k (-1)^k a_2k x^(n-2k).
 
     This is the substitution x = i*y up to the unit (-i)^n: the x^(n-2k)
@@ -176,24 +176,25 @@ def _alternating_form(phi: IntPolynomial, n: int) -> IntPolynomial:
     roots of its alternating form are the signed eigenvalue magnitudes and
     the largest is the spectral radius.  The alternating form of the
     matching polynomial m(G) is sum_k m_k(G) x^(n-2k), which the identity
-    claim compares phi with.
+    claim compares phi with.  Both are monic of degree n, so n is phi's
+    degree.
     """
-    coeffs = list(phi.coeffs) + [0] * (n + 1 - len(phi.coeffs))
+    n = phi.degree
     out = [0] * (n + 1)
-    for j in range(n + 1):
+    for j, c in enumerate(phi.coeffs):
         if (n - j) % 2 == 1:
-            if coeffs[j]:
+            if c:
                 raise ArithmeticError(f"skew characteristic polynomial has odd term x^{j}")
             continue
         k = (n - j) // 2
-        out[j] = -coeffs[j] if k % 2 else coeffs[j]
+        out[j] = -c if k % 2 else c
     return IntPolynomial.from_coeffs(out)
 
 
 def skew_spectral_radius(o: Orientation) -> AlgebraicRoot:
     """Spectral radius of the skew matrix as an exact algebraic number."""
     phi = skew_char_poly(o)
-    return max_real_root(_alternating_form(phi, o.graph.n))
+    return max_real_root(_alternating_form(phi))
 
 
 def max_skew_spectral_radius(g: Graph) -> AlgebraicRoot:

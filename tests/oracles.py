@@ -15,9 +15,13 @@ and Fraction arithmetic for root bisection, Sturm counts and dominance.
 The root oracles build their own GCDs, squarefree parts, Sturm chains and
 Yun decompositions by Fraction long division; they import nothing from
 ``oddcycle.roots`` and never call the library's remainder sequence.  Slow
-is fine; these exist to be obviously right.  The two identity checks at the
-end are the exception: they hold the library's own matching polynomials to
-the deletion and disjoint-union identities.
+is fine; these exist to be obviously right.  Exact evaluation and induced
+subgraphs are plain helpers here, so the Fraction sign oracle calls no
+library code.  Beyond the Graph and IntPolynomial types and their
+arithmetic, the library supplies only edge_cap, which bounds the labeled
+enumeration, disjoint_union, and m(G): the dominance oracle expands m(G)
+past the memo, and the two identity checks at the end hold it to the
+deletion and disjoint-union identities.
 """
 
 from __future__ import annotations
@@ -383,8 +387,16 @@ def sturm_chain_reference(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
     return tuple(_integer_multiple(c) for c in chain)
 
 
+def value_at(p: IntPolynomial, x):
+    """p(x) by Horner's rule in int or Fraction arithmetic."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _sign(p: IntPolynomial, x: Fraction) -> int:
-    value = p.evaluate(x)
+    value = value_at(p, x)
     return (value > 0) - (value < 0)
 
 
@@ -683,18 +695,26 @@ def automorphism_count(g: Graph) -> int:
     return extend(0, 0)
 
 
+def induced(g: Graph, keep) -> Graph:
+    """The subgraph induced on the vertices keep, relabeled 0, 1, ... in
+    increasing order of their old labels."""
+    keep = sorted(set(keep))
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v]) for u, v in g.edge_list() if u in index and v in index]
+    return Graph.from_edges(len(keep), edges)
+
+
 def check_deletion_identity(g, edge: tuple[int, int]) -> bool:
     """Verify m(G,x) = m(G-e,x) - m(G-u-v,x) for the given edge."""
     u, v = edge
-    if not g.has_edge(u, v):
+    if not g.adj[u] >> v & 1:
         raise ValueError(f"({u},{v}) is not an edge")
     whole = matching_polynomial(g)
     kept = set(g.edge_list()) - {(min(u, v), max(u, v))}
     deleted = matching_polynomial(Graph.from_edges(g.n, kept))
     rest = [w for w in range(g.n) if w not in (u, v)]
     if rest:
-        sub, _ = g.induced(rest)
-        shrunk = matching_polynomial(sub)
+        shrunk = matching_polynomial(induced(g, rest))
     else:
         shrunk = IntPolynomial.one()
     return whole == deleted - shrunk

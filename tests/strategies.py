@@ -88,7 +88,7 @@ def parity_polys(draw) -> ParityPoly:
         )
     )
     values += values[: draw(st.integers(0, len(values)))]
-    p = IntPolynomial.one().shifted(k)
+    p = IntPolynomial((0,) * k + (1,))
     for a in values:
         p = p * IntPolynomial.from_coeffs([-a.numerator, 0, a.denominator])
     if draw(st.booleans()):

@@ -90,7 +90,7 @@ def test_criterion_1_closed_form_roots():
         (t_k13, math.sqrt(3), "t(K_{1,3})"),
         (t_k3, math.sqrt(3), "t(K3)"),
     ):
-        if abs(root.to_float() - value) >= 1e-10:
+        if abs(float(root.decimal_str(15)) - value) >= 1e-10:
             problems.append(f"{label} float off by >= 1e-10")
 
     elapsed = time.perf_counter() - t0

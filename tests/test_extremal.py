@@ -13,6 +13,7 @@ from oddcycle import (
     Graph,
     GraphTooLargeError,
     IntPolynomial,
+    ReductionInvariantError,
     ReductionTrace,
     VerificationReport,
     all_orientations,
@@ -49,7 +50,7 @@ from oddcycle import (
 )
 
 import oddcycle
-from oddcycle import extremal, graphs, reduce_to_F
+from oddcycle import cli, extremal, graphs, reduce_to_F
 from oddcycle.extremal import STRUCTURED_MAX_N, _odd_cycle_classes
 from oddcycle.roots import GT, LT, _variations_past
 from oddcycle.kelmans import _is_star_plus_matching
@@ -110,10 +111,10 @@ def test_F_matching_polynomial_factorization():
     for n in range(1, 21):
         for m in range(n - 1, edge_cap(n) + 1):
             k, p = m - n + 1, 3 * n - 3 - 2 * m
-            rhs = IntPolynomial.from_coeffs([p, 0, -n, 0, 1]).shifted(p)
+            rhs = IntPolynomial.from_coeffs([0] * p + [p, 0, -n, 0, 1])
             for _ in range(k):
                 rhs = rhs * x2_minus_1
-            assert (x2_minus_1 * matching_polynomial(make_F(n, m))).shifted(1) == rhs, (n, m)
+            assert IntPolynomial((0, 1)) * x2_minus_1 * matching_polynomial(make_F(n, m)) == rhs, (n, m)
             points += 1
     assert points == 110
 
@@ -375,7 +376,7 @@ def _linear(c):
 def test_running_best_decides_roots_inside_the_best_interval():
     x2_minus_2 = IntPolynomial.from_coeffs([-2, 0, 1])
     sqrt2 = max_real_root(x2_minus_2)
-    grid = [sqrt2.lo + k * sqrt2.width / 64 for k in range(1, 64)]
+    grid = [sqrt2.lo + k * (sqrt2.hi - sqrt2.lo) / 64 for k in range(1, 64)]
     below = max(c for c in grid if c * c < 2)
     above = min(c for c in grid if c * c > 2)
     # (x - c)(x + 3) has exactly one root past sqrt2.lo, so Descartes' count
@@ -507,6 +508,25 @@ def test_reduction_reports_a_final_graph_with_the_wrong_edge_count(monkeypatch):
     rep = verify_reduction(n)
     assert len(want) == 5
     assert list(rep.counterexamples) == want
+
+
+def test_reduction_reports_a_broken_lemma_as_a_counterexample(capsys, monkeypatch):
+    # a reduction lemma that fails on one class is that class's
+    # counterexample; the sweep goes on and still counts every class
+    n = 5
+    broken = connected_odd_cycle_reps(n)[3]
+
+    def breaks_once(g):
+        if g == broken:
+            raise ReductionInvariantError("step 2 left the family")
+        return reduce_to_F(g)
+
+    monkeypatch.setattr(extremal, "reduce_to_F", breaks_once)
+    rep = verify_reduction(n)
+    assert rep.checked == 8
+    assert rep.counterexamples == (f"{write_graph6(broken)}: step 2 left the family",)
+    assert cli.main(["verify", "reduction", "--max-n", str(n)]) == 1
+    assert f"{write_graph6(broken)}: step 2 left the family" in capsys.readouterr().out
 
 
 def test_verify_dominance_small():

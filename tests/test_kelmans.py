@@ -244,7 +244,7 @@ def test_shape_walk_matches_the_block_walk_on_reduction_traces(seed):
     for h in [g, *(after for _, after in reduce_to_F(g).steps)]:
         assert long_odd_cycles(h) == block_shape_reference(h)
         u, v = rng.sample(range(n), 2)
-        if not h.has_edge(u, v):
+        if not h.adj[u] >> v & 1:
             more = Graph.from_edges(n, [*h.edge_list(), (u, v)])
             assert long_odd_cycles(more) == block_shape_reference(more)
 
